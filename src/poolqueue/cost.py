@@ -73,36 +73,47 @@ def capability(lam: float, a: float, w: int) -> float:
     return max(lam * a / w - 1.0, 0.0)
 
 
-def objective(
-    params: SystemParams, cost: CostParams, dist: LimitingDistribution
-) -> ObjectiveBreakdown:
-    """Cost-rate breakdown for one solved instance."""
+def state_cost_rates(params: SystemParams, cost: CostParams) -> tuple[np.ndarray, np.ndarray]:
+    """Holding and reserve cost rates at each pool level 0..w.
+
+    Tables are checked against the geometry: ``holding_table`` needs w+1
+    entries and ``reserve_table`` w-v+1.  Reserve is charged only at levels
+    strictly above v.
+    """
     w, v = params.w, params.v
-    pi1 = dist.pi1
     ks = np.arange(w + 1)
-    if cost.holding_table is not None:
-        h = np.asarray(cost.holding_table, dtype=float)
-        if h.size != w + 1:
-            raise ValueError(f"holding_table must have {w + 1} entries, got {h.size}")
-        holding = float(h @ pi1)
-    else:
-        holding = cost.c_h * float(ks @ pi1)
     reserve_counts = np.clip(ks - v, 0, None)
+    if cost.holding_table is not None:
+        holding = np.asarray(cost.holding_table, dtype=float)
+        if holding.size != w + 1:
+            raise ValueError(f"holding_table must have {w + 1} entries, got {holding.size}")
+    else:
+        holding = cost.c_h * ks
     if cost.reserve_table is not None:
         g = np.asarray(cost.reserve_table, dtype=float)
         if g.size != w - v + 1:
             raise ValueError(f"reserve_table must have {w - v + 1} entries, got {g.size}")
-        # the reserve sum only covers states strictly above v
-        reserve = float(np.where(ks > v, g[reserve_counts], 0.0) @ pi1)
+        reserve = np.where(ks > v, g[reserve_counts], 0.0)
     else:
-        reserve = cost.c_r * float(reserve_counts @ pi1)
-    posting = cost.c_d * (params.lam / v) * (1.0 / params.a)
+        reserve = cost.c_r * reserve_counts
+    return holding, reserve
+
+
+def objective(
+    params: SystemParams, cost: CostParams, dist: LimitingDistribution
+) -> ObjectiveBreakdown:
+    """Cost-rate breakdown for one solved instance."""
+    pi1 = dist.pi1
+    holding_rates, reserve_rates = state_cost_rates(params, cost)
+    holding = float(holding_rates @ pi1)
+    reserve = float(reserve_rates @ pi1)
+    posting = cost.c_d * (params.lam / params.v) * (1.0 / params.a)
     return ObjectiveBreakdown(
         holding=holding,
         reserve=reserve,
         posting=posting,
         total=holding + reserve + posting,
-        expected_pool=float(ks @ pi1),
+        expected_pool=float(np.arange(params.w + 1) @ pi1),
         valid=dist.valid,
     )
 

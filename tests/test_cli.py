@@ -142,6 +142,15 @@ def test_simulate_is_reproducible_from_document(capsys):
     assert out1 == out2
 
 
+def test_simulate_too_few_counted_postings_is_config_error(capsys):
+    code, out, err = run(capsys, [
+        "simulate", *BASE, "--seed", "1", "--postings", "10", "--warmup", "0.95",
+    ])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
 def test_compare_reports_both_policies(capsys):
     code, out, _ = run(capsys, [
         "compare", *BASE, "--ch", "1", "--cr", "1", "--cd", "1",

@@ -35,6 +35,24 @@ def test_config_validation():
         SimConfig(seed=1, num_postings=10, policy="drop")
 
 
+def test_config_needs_two_counted_postings():
+    # fewer than two counted postings leave no sojourn to average over
+    for n, warmup in ((1, 0.0), (10, 0.95), (2, 0.6)):
+        with pytest.raises(ValueError, match="at least 2"):
+            SimConfig(seed=1, num_postings=n, warmup_fraction=warmup)
+    assert SimConfig(seed=1, num_postings=2, warmup_fraction=0.0).num_postings == 2
+    assert SimConfig(seed=1, num_postings=10, warmup_fraction=0.8).num_postings == 10
+
+
+def test_cost_tables_checked_against_geometry():
+    p = exp_params(2, 6, 1.0, 1.0)
+    cfg = SimConfig(seed=1, num_postings=100)
+    with pytest.raises(ValueError, match="reserve_table must have 5 entries"):
+        run_sim(p, CostParams(0, 0, 0, reserve_table=(1.0,) * 10), cfg)
+    with pytest.raises(ValueError, match="holding_table must have 7 entries"):
+        run_sim(p, CostParams(0, 0, 0, holding_table=(1.0, 2.0, 3.0)), cfg)
+
+
 def test_same_seed_bit_identical():
     p = exp_params(2, 6, 1.5, 0.8)
     cfg = SimConfig(seed=42, num_postings=20_000)
