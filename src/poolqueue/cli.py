@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from . import sim as sim_mod
-from .dist import PostingDistribution, parse_distribution
+from .dist import PostingDistribution, parse_distribution, positive_int
 from .embedded import SystemParams, embedded_P, model_type, tpm_stationary_delta
 from .errors import NoRootError, NoValidPointError, PoolQueueError, TruncationError
 from .limiting import RENEWAL, LADDER
@@ -129,9 +129,12 @@ def _require(section: dict, key: str, where: str):
 
 def _build_params(merged: dict, need_v: bool = True) -> tuple[SystemParams | None, dict]:
     p = merged["params"]
-    w = int(_require(p, "w", "params"))
-    lam = float(_require(p, "lambda", "params"))
-    posting = parse_distribution(_require(p, "posting", "params"))
+    try:
+        w = positive_int("w", _require(p, "w", "params"))
+        lam = float(_require(p, "lambda", "params"))
+        posting = parse_distribution(_require(p, "posting", "params"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     resolved = {
         "w": w,
         "lambda": lam,
@@ -139,8 +142,8 @@ def _build_params(merged: dict, need_v: bool = True) -> tuple[SystemParams | Non
     }
     if not need_v:
         return None, resolved | {"_lam": lam, "_posting": posting}
-    v = int(_require(p, "v", "params"))
     try:
+        v = positive_int("v", _require(p, "v", "params"))
         params = SystemParams(v=v, w=w, lam=lam, posting=posting)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

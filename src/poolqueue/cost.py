@@ -8,6 +8,7 @@ tables may replace the linear holding/reserve defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,9 @@ class CostParams:
 
     def __post_init__(self):
         for name in ("c_h", "c_r", "c_d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class SweepCell:
 
 def capability(lam: float, a: float, w: int) -> float:
     """Potential-loss indicator ``max(lam * a / w - 1, 0)``."""
-    if lam <= 0 or a <= 0 or w <= 0:
-        raise ValueError("lam, a and w must be positive")
+    if not (0 < lam < math.inf and 0 < a < math.inf and w > 0):
+        raise ValueError("lam and a must be positive and finite, and w positive")
     return max(lam * a / w - 1.0, 0.0)
 
 
@@ -144,8 +146,15 @@ def evaluate_cell(
     cost: CostParams,
     method: str = RENEWAL,
 ) -> ObjectiveBreakdown:
-    """Solve one (v, w) cell end to end; invalid cells come back flagged."""
+    """Solve one (v, w) cell end to end; invalid cells come back flagged.
+
+    The renewal route goes straight to :func:`limiting_pi`: the embedded
+    solution and ladder bands that :func:`solve_instance` adds are
+    diagnostics the cost does not use.
+    """
     params = SystemParams(v=v, w=w, lam=lam, posting=posting)
+    if method == RENEWAL:
+        return objective(params, cost, limiting_pi(params))
     try:
         _, dist = solve_instance(params, method=method)
     except (NoRootError, TruncationError):
@@ -165,10 +174,11 @@ def optimize_v(
 ) -> OptimizationResult:
     """Exhaustive batch-size search over v = 1..v_max.
 
-    Every candidate re-solves the full pipeline.  Invalid entries stay in the
-    curve but never win; ties break toward the smallest batch size.  With
-    ``enforce_capability`` set, instances whose capability factor is positive
-    are excluded as well.
+    Each candidate is one :func:`evaluate_cell` call: on the renewal route a
+    solve of its (w - v + 1)-state start-level chain, with no embedded
+    diagnostics.  Invalid entries stay in the curve but never win; ties
+    break toward the smallest batch size.  With ``enforce_capability`` set,
+    instances whose capability factor is positive are excluded as well.
     """
     if not (1 <= v_max <= w):
         raise ValueError(f"v_max must lie in 1..w={w}, got {v_max}")

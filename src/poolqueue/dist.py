@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, pdtrc
 
 EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
@@ -33,12 +33,25 @@ ERLANG = "erlang"
 _KINDS = (EXPONENTIAL, DETERMINISTIC, ERLANG)
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as an ``int`` when it is a whole number >= 1; ValueError
+    otherwise (also for non-numbers, NaN and infinities)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if n != value or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class PostingDistribution:
     """Distribution of the interval between consecutive postings.
 
-    ``shape`` is only meaningful for the Erlang family; it defaults to 1 and
-    is ignored by the other kinds.
+    ``shape`` is only meaningful for the Erlang family; it defaults to 1, is
+    checked to be a positive integer for every kind and is ignored by the
+    other kinds.
     """
 
     kind: str
@@ -50,11 +63,9 @@ class PostingDistribution:
             raise ValueError(
                 f"unknown distribution kind {self.kind!r}; expected one of {_KINDS}"
             )
-        if not (self.mean > 0):
-            raise ValueError(f"mean must be positive, got {self.mean}")
-        if self.kind == ERLANG:
-            if int(self.shape) != self.shape or self.shape < 1:
-                raise ValueError(f"erlang shape must be an integer >= 1, got {self.shape}")
+        if not (math.isfinite(self.mean) and self.mean > 0):
+            raise ValueError(f"mean must be positive and finite, got {self.mean}")
+        object.__setattr__(self, "shape", positive_int("shape", self.shape))
 
     # -- basic functionals ------------------------------------------------
 
@@ -104,7 +115,7 @@ class PostingDistribution:
             raise ValueError("k must be non-negative")
         if self.kind == EXPONENTIAL:
             p = 1.0 / (1.0 + la)
-            out = p * np.exp(k * np.log1p(-p))
+            out = p * np.exp(k * _log_ratio(la))
         elif self.kind == DETERMINISTIC:
             out = stats.poisson.pmf(k, la)
         else:
@@ -161,6 +172,28 @@ class PostingDistribution:
         tail = max(1.0 - float(row.sum()), 0.0)
         return row, tail
 
+    def psi_tails(self, lam: float, kmax: int) -> np.ndarray:
+        """``P{N >= k}`` for k = 0..kmax, N kernel-distributed.
+
+        Each entry comes from the family's closed-form survival function, not
+        from ``1 - sum(psi)``, so it keeps full relative accuracy where the
+        kernel is nearly a point mass at 0 (``lam * a`` far below 1).
+        """
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
+        if kmax < 0:
+            raise ValueError(f"kmax must be non-negative, got {kmax}")
+        la = lam * self.mean
+        k = np.arange(1, kmax + 1)
+        if self.kind == EXPONENTIAL:
+            rest = np.exp(k * _log_ratio(la))
+        elif self.kind == DETERMINISTIC:
+            rest = pdtrc(k - 1, la)
+        else:
+            m = self.shape
+            rest = betainc(k, m, la / (m + la))
+        return np.concatenate(([1.0], rest))
+
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -171,6 +204,17 @@ class PostingDistribution:
         if self.kind == DETERMINISTIC:
             return a if size is None else np.full(size, a)
         return rng.gamma(self.shape, a / self.shape, size)
+
+
+def _log_ratio(la: float) -> float:
+    """``log(la / (1 + la))``, the log of the geometric kernel's ratio.
+
+    Below ``la = 1`` it is taken as a difference of logs: ``log1p(-p)`` with
+    ``p = 1 / (1 + la)`` loses relative accuracy there and reaches ``-inf``
+    once ``p`` rounds to 1 (near ``la = 1e-16``)."""
+    if la < 1.0:
+        return math.log(la) - math.log1p(la)
+    return math.log1p(-1.0 / (1.0 + la))
 
 
 def parse_distribution(spec: dict) -> PostingDistribution:
@@ -191,5 +235,5 @@ def parse_distribution(spec: dict) -> PostingDistribution:
     return PostingDistribution(
         kind=str(spec["kind"]),
         mean=float(spec["mean"]),
-        shape=int(spec.get("shape", 1)),
+        shape=spec.get("shape", 1),
     )

@@ -12,21 +12,28 @@ Two stationary vectors are computed here:
   renormalized, leaving exact zeros above ``w - v``.
 * :func:`admission_P` -- the stationary vector of the finite chain under
   clipped admission (arrivals blocked at ``w``), whose support is the full
-  state range.  This is the law that matches the event-level dynamics and it
-  feeds the exact limiting-distribution route.
+  state range.  This is the law that matches the event-level dynamics.
+
+Under clipped admission every row of the pre-posting chain depends on its
+state j only through the start level ``d = (j - v)^+`` of the next interval,
+so ``d`` is itself a Markov chain on 0..w-v (an exact lumping of states
+0..v).  :func:`start_level_P` solves that smaller chain; the full pre-posting
+law and the limiting distribution are both built from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
-from .dist import EXPONENTIAL, PostingDistribution
+from .dist import EXPONENTIAL, PostingDistribution, positive_int
 from .errors import NoRootError, TruncationError
 
 LEVEL_CAP = 1 << 16
@@ -42,14 +49,16 @@ class SystemParams:
     posting: PostingDistribution
 
     def __post_init__(self):
-        if int(self.v) != self.v or self.v < 1:
-            raise ValueError(f"v must be a positive integer, got {self.v}")
-        if int(self.w) != self.w or self.w < 1:
-            raise ValueError(f"w must be a positive integer, got {self.w}")
+        # whole-number floats such as 3.0 are stored as ints, so v and w can
+        # index and slice arrays
+        object.__setattr__(self, "v", positive_int("v", self.v))
+        object.__setattr__(self, "w", positive_int("w", self.w))
         if self.v > self.w:
             raise ValueError(f"batch size v={self.v} must not exceed capacity w={self.w}")
-        if not (self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not math.isfinite(self.lam * self.posting.mean):
+            raise ValueError(f"lam * a overflows: lam={self.lam}, a={self.posting.mean}")
 
     @property
     def s(self) -> int:
@@ -89,6 +98,30 @@ class EmbeddedSolution:
 # -- transition matrices ---------------------------------------------------
 
 
+def start_rows(body: np.ndarray, tails: np.ndarray, starts, width: int) -> np.ndarray:
+    """Rows of ``width`` columns, row i starting at level ``d = starts[i]``.
+
+    Row i holds ``body[0 .. width-2-d]`` in columns ``d .. width-2`` and
+    ``tails[width-1-d]`` in the absorbing last column, where ``tails[n]`` is
+    the mass of ``body`` beyond its first n entries.  Every pre-posting and
+    interval-occupancy matrix here is made of such rows.
+    """
+    n = width - 1
+    starts = np.asarray(starts, dtype=np.intp)
+    # window n - d of [0]*n + body[:n] is d zeros followed by body[: n - d]
+    padded = np.concatenate((np.zeros(n), body[:n]))
+    rows = np.empty((starts.size, width))
+    rows[:, :n] = sliding_window_view(padded, n)[n - starts]
+    rows[:, n] = tails[n - starts]
+    return rows
+
+
+def kernel(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values ``psi_0..psi_w`` and tails ``P{N >= n}`` for n = 0..w."""
+    psis, _ = params.posting.psi_row(params.lam, params.w)
+    return psis, params.posting.psi_tails(params.lam, params.w)
+
+
 def build_tpm(params: SystemParams) -> np.ndarray:
     """Pre-posting transition matrix with tail absorption at column ``w - v``.
 
@@ -100,19 +133,13 @@ def build_tpm(params: SystemParams) -> np.ndarray:
     """
     v, w = params.v, params.w
     s = w - v
-    psis, _ = params.posting.psi_row(params.lam, max(s, 0))
+    psis, _ = params.posting.psi_row(params.lam, s)
+    tails = params.posting.psi_tails(params.lam, s)
+    top = max(v, s) + 1  # rows 0..v and 0..s carry kernel rows
     M = np.zeros((w + 1, w + 1))
-    for j in range(w + 1):
-        if j <= v:
-            shift = 0
-        elif j <= s:
-            shift = j - v
-        else:
-            M[j, j] = 1.0
-            continue
-        block = psis[: s - shift]
-        M[j, shift : s] = block
-        M[j, s] = 1.0 - block.sum()
+    M[:top, : s + 1] = start_rows(psis, tails, np.maximum(np.arange(top) - v, 0), s + 1)
+    loops = np.arange(top, w + 1)
+    M[loops, loops] = 1.0
     return M
 
 
@@ -123,14 +150,9 @@ def admission_tpm(params: SystemParams) -> np.ndarray:
     then fill up to capacity, so the next state is ``min((j-v)^+ + k, w)``
     with k kernel-distributed; column ``w`` absorbs the tail.
     """
-    v, w = params.v, params.w
-    psis, _ = params.posting.psi_row(params.lam, w)
-    M = np.zeros((w + 1, w + 1))
-    for j in range(w + 1):
-        d = max(j - v, 0)
-        M[j, d:w] = psis[: w - d]
-        M[j, w] = 1.0 - M[j, :w].sum()
-    return M
+    psis, tails = kernel(params)
+    starts = np.maximum(np.arange(params.w + 1) - params.v, 0)
+    return start_rows(psis, tails, starts, params.w + 1)
 
 
 def stationary_vector(M: np.ndarray) -> np.ndarray:
@@ -143,9 +165,29 @@ def stationary_vector(M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def start_level_P(
+    params: SystemParams, psis: np.ndarray, tails: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary law of the start level ``d = (j - v)^+`` on 0..w-v.
+
+    Pre-posting states 0..v share one transition row, so ``d`` is a Markov
+    chain: from d the next pre-posting state is ``min(d + N, w)`` and the
+    next start level ``(min(d + N, w) - v)^+``.  Its matrix is the rows
+    ``R[d]`` of :func:`admission_tpm` with columns 0..v folded into column 0.
+    Returns the law ``q`` and the rows ``R`` (the full pre-posting law is
+    ``q @ R``); ``psis`` and ``tails`` come from :func:`kernel`.
+    """
+    v, w = params.v, params.w
+    R = start_rows(psis, tails, np.arange(w - v + 1), w + 1)
+    K = R[:, v:].copy()
+    K[:, 0] = R[:, : v + 1].sum(axis=1)
+    return stationary_vector(K), R
+
+
 def admission_P(params: SystemParams) -> np.ndarray:
     """Stationary pre-posting law of the clipped-admission chain."""
-    return stationary_vector(admission_tpm(params))
+    q, R = start_level_P(params, *kernel(params))
+    return q @ R
 
 
 # -- infinite-queue solution ----------------------------------------------

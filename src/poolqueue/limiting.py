@@ -6,11 +6,17 @@ w - k on the other), so ``pi1`` is always the exact reversal of ``pi``.
 
 Two computation routes are provided:
 
-* ``renewal`` (default) -- the key-renewal route: the pre-posting law of the
-  clipped-admission chain is propagated through the expected within-interval
-  occupancy kernel.  This is exact for the clipped-admission dynamics, for
+* ``renewal`` (default) -- the semi-regenerative route.  The start level
+  ``d = (j - v)^+`` of a posting interval is a Markov chain on 0..w-v (the
+  clipped-admission pre-posting chain lumped over its identical rows 0..v);
+  its stationary law ``q`` is weighted by the expected time the customer
+  side spends at each level during an interval opened at ``d``.  That time
+  depends on the level only through ``k - d``, so ``pi[:w]`` is the
+  convolution of ``q`` with the occupancy row ``gamma`` and ``pi[w]`` collects
+  the blocked tails.  This is exact for the clipped-admission dynamics, for
   every posting distribution and every load, and is the route validated
-  against the closed-form birth-death reduction and the simulator.
+  against the closed-form birth-death reduction, an independent
+  generator-matrix oracle and the simulator.
 * ``ladder`` -- the closed-form increment bands ``G_n`` applied to the
   truncate-and-renormalize embedded vector, with the stationary law assembled
   as ``pi_n = G_n + pi_0`` and ``pi_0`` fixed by normalization.  The bands
@@ -22,11 +28,19 @@ Two computation routes are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embedded import EmbeddedSolution, ModelType, SystemParams, admission_P, model_type
+from .embedded import (
+    EmbeddedSolution,
+    ModelType,
+    SystemParams,
+    kernel,
+    model_type,
+    start_level_P,
+    start_rows,
+)
 
 NEGATIVE_TOL = 1e-9
 
@@ -87,6 +101,14 @@ def g_vector(params: SystemParams, P: np.ndarray) -> np.ndarray:
     return G
 
 
+def _occupancy_row(params: SystemParams, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma[m]`` for m = 0..w-1, the expected fraction of an interval with
+    exactly m arrivals so far, ``P{N > m} / (lam a)``; and its tails
+    ``1 - sum(gamma[:n])`` for n = 0..w."""
+    gamma = tails[1:] / (params.lam * params.a)
+    return gamma, 1.0 - np.concatenate(([0.0], np.cumsum(gamma)))
+
+
 def interval_occupancy(params: SystemParams) -> np.ndarray:
     """Matrix of expected occupancy fractions over one posting interval.
 
@@ -96,17 +118,9 @@ def interval_occupancy(params: SystemParams) -> np.ndarray:
     Rows are stochastic, which makes the resulting ``pi`` sum to one by
     construction.
     """
-    v, w, lam = params.v, params.w, params.lam
-    la = lam * params.a
-    psis, _ = params.posting.psi_row(lam, w)
-    # expected fraction of the interval with exactly m arrivals so far
-    gamma = (1.0 - np.cumsum(psis)) / la
-    C = np.zeros((w + 1, w + 1))
-    for j in range(w + 1):
-        d = max(j - v, 0)
-        C[j, d:w] = gamma[: w - d]
-        C[j, w] = 1.0 - C[j, :w].sum()
-    return C
+    w = params.w
+    gamma, gtails = _occupancy_row(params, params.posting.psi_tails(params.lam, w))
+    return start_rows(gamma, gtails, np.maximum(np.arange(w + 1) - params.v, 0), w + 1)
 
 
 def limiting_pi(
@@ -116,14 +130,21 @@ def limiting_pi(
 ) -> LimitingDistribution:
     """Stationary occupancy laws for one platform instance.
 
+    The renewal route solves the start-level chain of
+    :func:`~poolqueue.embedded.start_level_P` (w - v + 1 states) for its law
+    ``q`` and sets ``pi[:w] = (q * gamma)[:w]``, the convolution with the
+    interval-occupancy row, and ``pi[w]`` to ``q`` weighted by the blocked
+    tail of each start level.  This equals ``admission_P(params) @
+    interval_occupancy(params)`` without building either (w+1)-square matrix.
+
     ``embedded`` feeds the ladder route and the diagnostic ``g_vector``; it
     is required for ``method="ladder"`` and optional otherwise (the renewal
-    route solves the clipped-admission chain internally and works at any
-    load).
+    route works at any load).  The law is ``valid`` when every entry is
+    finite and none is below ``-NEGATIVE_TOL``.
     """
     if method not in (RENEWAL, LADDER):
         raise ValueError(f"unknown method {method!r}")
-    w = params.w
+    v, w = params.v, params.w
 
     gvec = g_vector(params, embedded.P) if embedded is not None else None
 
@@ -135,15 +156,20 @@ def limiting_pi(
         pi[0] = pi0
         pi[1:] = gvec + pi0
     else:
-        pre = admission_P(params)
-        pi = pre @ interval_occupancy(params)
+        psis, tails = kernel(params)
+        q, _ = start_level_P(params, psis, tails)
+        gamma, gtails = _occupancy_row(params, tails)
+        pi = np.empty(w + 1)
+        pi[:w] = np.convolve(q, gamma)[:w]
+        # an interval opened at d has gtails[w - d] of its time blocked at w
+        pi[w] = gtails[v:][::-1] @ q
 
     negatives = tuple(int(k) for k in np.nonzero(pi < -NEGATIVE_TOL)[0])
     return LimitingDistribution(
         pi=pi,
         pi1=pi[::-1].copy(),
         g_vector=gvec,
-        valid=not negatives,
+        valid=bool(np.isfinite(pi).all()) and not negatives,
         negative_states=negatives,
         method=method,
     )

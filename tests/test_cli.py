@@ -178,3 +178,24 @@ def test_sweep_bad_range_rejected(capsys):
         "--vmin", "4", "--vmax", "2",
     ])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag, value", [("--ch", "nan"), ("--mean", "inf"), ("--lambda", "nan")])
+def test_non_finite_input_is_config_error(capsys, flag, value):
+    argv = ["optimize", *BASE, "--ch", "3", "--cr", "1", "--cd", "80"]
+    argv[argv.index(flag) + 1] = value
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_CONFIG
+    assert "finite" in err or "positive" in err
+
+
+@pytest.mark.parametrize("key, value", [("w", 6.7), ("v", 2.5)])
+def test_fractional_geometry_in_config_is_config_error(capsys, tmp_path, key, value):
+    # int() used to cut w = 6.7 down to 6 without a word
+    params = {"v": 2, "w": 6, "lambda": 1.0, "posting": {"kind": "exponential", "mean": 1.0}}
+    params[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": params}))
+    code, _, err = run(capsys, ["solve", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be a positive integer" in err

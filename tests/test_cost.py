@@ -33,6 +33,21 @@ def test_negative_coefficients_rejected():
         CostParams(c_h=1.0, c_r=-0.1, c_d=1.0)
 
 
+@pytest.mark.parametrize("name", ["c_h", "c_r", "c_d"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_coefficients_rejected(name, value):
+    # c_h = nan used to give v0 = 1, phi = nan and any_invalid = False
+    coeffs = {"c_h": 3.0, "c_r": 1.0, "c_d": 80.0, name: value}
+    with pytest.raises(ValueError, match=name):
+        CostParams(**coeffs)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_non_finite_load_rejected_by_optimizer(lam):
+    with pytest.raises(ValueError, match="finite"):
+        optimize_v(6, lam, EXP13, CostParams(3.0, 1.0, 80.0), 6)
+
+
 # -- objective --------------------------------------------------------------
 
 

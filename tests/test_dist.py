@@ -33,6 +33,16 @@ def test_nonpositive_mean_rejected():
 def test_bad_erlang_shape_rejected():
     with pytest.raises(ValueError, match="shape"):
         PostingDistribution("erlang", 1.0, shape=0)
+    with pytest.raises(ValueError, match="shape"):
+        PostingDistribution("erlang", 1.0, shape=float("inf"))
+    assert type(PostingDistribution("erlang", 1.0, shape=3.0).shape) is int
+
+
+@pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+def test_non_finite_mean_rejected(mean):
+    # an infinite mean used to give psi = 0 everywhere and phi_min = 0
+    with pytest.raises(ValueError, match="mean must be positive and finite"):
+        PostingDistribution("exponential", mean)
 
 
 def test_parse_round_trip():
@@ -188,3 +198,36 @@ def test_sampling_is_deterministic_per_seed():
     a = d.sample(np.random.default_rng(7), 100)
     b = d.sample(np.random.default_rng(7), 100)
     assert np.array_equal(a, b)
+
+
+# -- kernel tails and tiny loads -------------------------------------------
+
+
+@pytest.mark.parametrize("d", DISTS)
+@pytest.mark.parametrize("lam", [0.05, 2.2, 40.0])
+def test_psi_tails_match_cumulative_kernel(d, lam):
+    row, _ = d.psi_row(lam, 60)
+    tails = d.psi_tails(lam, 60)
+    assert tails[0] == 1.0
+    assert np.allclose(tails[1:], 1.0 - np.cumsum(row)[:-1], rtol=0, atol=1e-14)
+    assert np.all(tails >= 0.0) and np.all(np.diff(tails) <= 0.0)
+
+
+@pytest.mark.parametrize("d", DISTS)
+@pytest.mark.parametrize("la", [1e-300, 1e-200, 1e-17, 1e-9])
+def test_tiny_load_kernel_is_finite(d, la):
+    # lam * a below ~1e-16 made the exponential psi_0 = 0 * log1p(-1) = nan
+    row, tail = d.psi_row(la / d.mean, 30)
+    assert np.all(np.isfinite(row))
+    assert row.sum() == pytest.approx(1.0, abs=1e-14) and tail <= 1e-14
+    # P{N >= 1} is about lam * a: kept to full relative accuracy
+    assert d.psi_tails(la / d.mean, 30)[1] == pytest.approx(la, rel=1e-6)
+
+
+def test_exponential_psi_unchanged_on_unit_loads():
+    # from lam * a = 1 up the kernel keeps its log1p form bit for bit
+    d = PostingDistribution("exponential", 1.3)
+    k = np.arange(400)
+    for lam in (1.98, 2.2, 2.42, 10.0):
+        p = 1.0 / (1.0 + lam * 1.3)
+        assert np.array_equal(d.psi(lam, k), p * np.exp(k * np.log1p(-p)))

@@ -16,9 +16,12 @@ from poolqueue import (
     characteristic_root,
     embedded_P,
     infinite_queue_Q,
+    interval_occupancy,
+    limiting_pi,
     model_type,
     stationary_vector,
 )
+from poolqueue.embedded import kernel
 
 
 def exp_params(v, w, lam, a):
@@ -36,6 +39,27 @@ def test_params_validation():
         SystemParams(v=6, w=5, lam=1.0, posting=d)
     with pytest.raises(ValueError, match="lam must be positive"):
         SystemParams(v=1, w=5, lam=0.0, posting=d)
+
+
+def test_whole_number_geometry_is_stored_as_int():
+    # v=3.0 used to pass validation and then fail to slice arrays
+    p = SystemParams(v=3.0, w=np.int64(35), lam=2.2, posting=PostingDistribution("exponential", 1.3))
+    assert type(p.v) is int and type(p.w) is int
+    assert (p.v, p.w) == (3, 35)
+    assert limiting_pi(p).valid
+
+
+@pytest.mark.parametrize("v", [2.5, float("nan"), float("inf"), "3", None])
+def test_non_integer_batch_size_rejected(v):
+    with pytest.raises(ValueError, match="v must be a positive integer"):
+        SystemParams(v=v, w=5, lam=1.0, posting=PostingDistribution("exponential", 1.0))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 1e308])
+def test_non_finite_load_rejected(lam):
+    # 1e308 * a = inf: the load itself overflows
+    with pytest.raises(ValueError, match="lam"):
+        SystemParams(v=1, w=5, lam=lam, posting=PostingDistribution("exponential", 10.0))
 
 
 def test_derived_quantities():
@@ -198,6 +222,44 @@ def test_admission_tpm_rows_and_tail():
     # the final column carries the clipped kernel tail from every row
     row, tail = p.posting.psi_row(p.lam, p.w)
     assert M[0, p.w] == pytest.approx(tail + row[p.w], abs=1e-12)
+
+
+def loop_rows(body, tails, starts, width):
+    """Shifted rows written out one by one, as the matrices were before."""
+    M = np.zeros((len(starts), width))
+    for i, d in enumerate(starts):
+        M[i, d : width - 1] = body[: width - 1 - d]
+        M[i, width - 1] = tails[width - 1 - d]
+    return M
+
+
+@pytest.mark.parametrize("v, w", [(1, 1), (1, 4), (2, 2), (2, 7), (4, 6), (3, 9)])
+def test_matrices_match_row_by_row_construction(v, w):
+    p = SystemParams(v=v, w=w, lam=2.2, posting=PostingDistribution("erlang", 1.3, shape=3))
+    psis, tails = kernel(p)
+    starts = [max(j - v, 0) for j in range(w + 1)]
+    assert np.array_equal(admission_tpm(p), loop_rows(psis, tails, starts, w + 1))
+    gamma = tails[1:] / (p.lam * p.a)
+    gtails = 1.0 - np.concatenate(([0.0], np.cumsum(gamma)))
+    assert np.array_equal(interval_occupancy(p), loop_rows(gamma, gtails, starts, w + 1))
+    # build_tpm: rows j <= max(v, w - v) hold kernel rows cut at w - v
+    s = w - v
+    top = max(v, s) + 1
+    B = build_tpm(p)
+    cut = loop_rows(psis, p.posting.psi_tails(p.lam, s), starts[:top], s + 1)
+    assert np.array_equal(B[:top, : s + 1], cut)
+    assert np.all(B[:top, s + 1 :] == 0.0)
+    assert np.array_equal(B[top:], np.eye(w + 1)[top:])
+
+
+def test_start_rows_absorb_exact_tails():
+    # the absorbing column is the kernel tail itself, never 1 - sum
+    p = exp_params(2, 40, 0.5, 1.0)
+    M = admission_tpm(p)
+    r = 0.5 / 1.5
+    assert M[0, -1] == pytest.approx(r**40, rel=1e-13)
+    assert M[38, -1] == pytest.approx(r**4, rel=1e-13)
+    assert np.all(M >= 0.0)
 
 
 def test_stationary_vector_two_state():

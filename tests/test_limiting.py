@@ -8,15 +8,24 @@ from hypothesis import strategies as st
 from poolqueue import (
     LADDER,
     RENEWAL,
+    CostParams,
     PostingDistribution,
     SystemParams,
+    admission_P,
+    admission_tpm,
     bhat,
+    cost,
     embedded_P,
+    evaluate_cell,
     g_vector,
     interval_occupancy,
+    limiting,
     limiting_pi,
+    optimize_v,
     solve_instance,
+    sweep,
 )
+from poolqueue.embedded import kernel, start_level_P
 
 
 def exp_params(v, w, lam, a):
@@ -195,3 +204,97 @@ def test_solve_instance_heavy_load_renewal_only():
 
     with pytest.raises(NoRootError):
         solve_instance(p, method=LADDER)
+
+
+# -- renewal route: start-level chain and convolution ----------------------
+
+
+def full_chain_pi(p):
+    """Reference law from the (w+1)-state pre-posting chain: a dense solve of
+    ``admission_tpm`` propagated through the whole ``interval_occupancy``."""
+    M = admission_tpm(p)
+    n = M.shape[0]
+    pre = np.linalg.solve((np.eye(n) - M + 1.0).T, np.ones(n))
+    return pre @ interval_occupancy(p)
+
+
+@given(
+    w=st.integers(1, 60),
+    v_frac=st.floats(0.0, 1.0),
+    load=st.floats(0.05, 20.0),
+    kind=st.sampled_from(["exponential", "deterministic", "erlang"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_renewal_matches_full_chain(w, v_frac, load, kind):
+    # v_frac = 1 gives v = w, a one-state start-level chain
+    v = max(1, round(v_frac * w))
+    p = SystemParams(v=v, w=w, lam=load * v / 1.3, posting=PostingDistribution(kind, 1.3, shape=3))
+    dist = limiting_pi(p)
+    assert np.max(np.abs(dist.pi - full_chain_pi(p))) < 1e-12
+    assert abs(dist.pi.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("v, w", [(1, 1), (1, 2), (2, 2), (3, 5), (5, 5)])
+def test_renewal_matches_full_chain_edges(v, w):
+    p = SystemParams(v=v, w=w, lam=2.2, posting=PostingDistribution("erlang", 1.3, shape=3))
+    assert np.max(np.abs(limiting_pi(p).pi - full_chain_pi(p))) < 1e-14
+
+
+def test_admission_P_lumps_onto_start_levels():
+    # the full pre-posting law is the start-level law spread back over 0..w
+    p = SystemParams(v=3, w=12, lam=2.2, posting=PostingDistribution("deterministic", 1.3))
+    q, R = start_level_P(p, *kernel(p))
+    pre = admission_P(p)
+    assert q[0] == pytest.approx(pre[: p.v + 1].sum(), abs=1e-15)
+    assert np.allclose(q[1:], pre[p.v + 1 :], rtol=0, atol=1e-15)
+    assert np.allclose(pre @ admission_tpm(p), pre, rtol=0, atol=1e-15)
+
+
+def test_tiny_load_gives_a_full_pool():
+    # lam * a = 1.3e-300: the exponential kernel used to read psi_0 = 0 * -inf
+    # = nan, and the law came back nan yet valid
+    p = exp_params(3, 35, 1e-300, 1.3)
+    dist = limiting_pi(p)
+    assert dist.valid
+    assert np.all(np.isfinite(dist.pi))
+    assert dist.pi1[-1] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.abs(dist.pi1[:-1]) < 1e-14)
+
+
+def test_non_finite_law_is_invalid(monkeypatch):
+    p = exp_params(2, 6, 1.0, 1.0)
+    psis, tails = kernel(p)
+    psis[1] = np.nan
+    monkeypatch.setattr(limiting, "kernel", lambda params: (psis, tails))
+    dist = limiting_pi(p)
+    assert not np.all(np.isfinite(dist.pi))
+    assert not dist.valid
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_renewal_cost_path_skips_embedded_diagnostics(monkeypatch):
+    emb_calls = counting(monkeypatch, cost, "embedded_P")
+    g_calls = counting(monkeypatch, limiting, "g_vector")
+    posting = PostingDistribution("erlang", 1.3, shape=3)
+    costs = CostParams(3.0, 1.0, 80.0)
+    evaluate_cell(2, 6, 1.0, posting, costs)
+    optimize_v(6, 1.0, posting, costs, 6)
+    sweep(1.0, posting, costs, range(1, 4), range(3, 6))
+    assert emb_calls == [] and g_calls == []
+
+    evaluate_cell(2, 6, 1.0, posting, costs, method=LADDER)
+    assert len(emb_calls) == 1 and len(g_calls) == 1
+    optimize_v(6, 0.5, posting, costs, 2, method=LADDER)
+    solve_instance(SystemParams(v=2, w=6, lam=1.0, posting=posting))
+    assert len(emb_calls) == 4 and len(g_calls) == 4
