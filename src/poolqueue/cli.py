@@ -5,6 +5,10 @@ Inputs come from a JSON config file and/or flags (flags win); every emitted
 document embeds the fully-resolved configuration, so a document is enough to
 reproduce its own run.  Output is JSON (default) or CSV, to stdout or a file.
 
+Ladder fields (``kappa``, ``root``, ``truncation_level``, ``P``, ``g_vector``,
+``tpm_stationary_max_delta``, ``tv_embedded``) are computed only with
+``--method ladder``; otherwise they are null, and the CSV ``P`` column nan.
+
 Exit status: 0 success, 1 analytic-validity failure (negative probabilities
 flagged), 2 configuration error, 3 internal numerical failure.
 """
@@ -18,13 +22,12 @@ import sys
 
 import numpy as np
 
-from . import cost as cost_mod
 from . import sim as sim_mod
-from .dist import PostingDistribution, parse_distribution, positive_int
-from .embedded import SystemParams, embedded_P, model_type, tpm_stationary_delta
+from .dist import parse_distribution, positive_int
+from .embedded import SystemParams, model_type, tpm_stationary_delta
 from .errors import NoRootError, NoValidPointError, PoolQueueError, TruncationError
 from .limiting import RENEWAL, LADDER
-from .cost import CostParams, capability, objective, optimize_v, solve_instance, sweep
+from .cost import CostParams, ObjectiveBreakdown, capability, objective, optimize_v, solve_instance, sweep
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -238,17 +241,6 @@ def _listify(arr) -> list:
     return [float(x) for x in np.asarray(arr)]
 
 
-def _breakdown_dict(bd: cost_mod.ObjectiveBreakdown) -> dict:
-    return {
-        "holding": bd.holding,
-        "reserve": bd.reserve,
-        "posting": bd.posting,
-        "total": bd.total,
-        "expected_pool": bd.expected_pool,
-        "valid": bd.valid,
-    }
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -270,7 +262,7 @@ def _cmd_solve(merged: dict) -> int:
         "valid": dist.valid,
         "negative_states": list(dist.negative_states),
         "capability": capability(params.lam, params.a, params.w),
-        "tpm_stationary_max_delta": tpm_stationary_delta(params) if emb else None,
+        "tpm_stationary_max_delta": tpm_stationary_delta(params, emb) if emb else None,
     }
     document = {"command": "solve", "config": {"params": resolved_params, "options": {"method": method}}, "result": result}
     rows = [
@@ -295,7 +287,7 @@ def _cmd_optimize(merged: dict) -> int:
         raise ConfigError(str(exc)) from exc
     rho = capability(lam, posting.mean, w)
     curve = [
-        {"v": v} | _breakdown_dict(bd) | {"capability": rho} for v, bd in res.curve
+        {"v": v} | dataclasses.asdict(bd) | {"capability": rho} for v, bd in res.curve
     ]
     document = {
         "command": "optimize",
@@ -339,11 +331,10 @@ def _cmd_sweep(merged: dict) -> int:
     out_cells = []
     for cell in cells:
         if cell.feasible:
-            bd = _breakdown_dict(cell.breakdown)
+            bd = dataclasses.asdict(cell.breakdown)
             any_invalid = any_invalid or not cell.breakdown.valid
         else:
-            bd = {k: float("nan") for k in ("holding", "reserve", "posting", "total", "expected_pool")}
-            bd["valid"] = False
+            bd = dataclasses.asdict(ObjectiveBreakdown(*[float("nan")] * 5, valid=False))
         out_cells.append({"v": cell.v, "w": cell.w, "feasible": cell.feasible} | bd | {"capability": cell.capability})
         rows.append(
             (cell.v, cell.w, cell.feasible, bd["holding"], bd["reserve"], bd["posting"], bd["total"], bd["valid"], cell.capability)
@@ -438,7 +429,7 @@ def _cmd_compare(merged: dict) -> int:
                 "method": method,
                 "pi1": _listify(dist.pi1),
                 "valid": dist.valid,
-                "breakdown": _breakdown_dict(bd),
+                "breakdown": dataclasses.asdict(bd),
             },
             "policies": reports,
         },

@@ -123,18 +123,10 @@ def objective(
 def solve_instance(
     params: SystemParams, method: str = RENEWAL, eps: float = 1e-12
 ) -> tuple[EmbeddedSolution | None, LimitingDistribution]:
-    """Run the full analytic pipeline for one instance.
-
-    The truncate-and-renormalize embedded solution only exists below offered
-    load 1; the renewal route carries on without it (returning ``None`` in
-    its place), while the ladder route propagates the failure.
-    """
-    try:
-        emb = embedded_P(params, eps)
-    except (NoRootError, TruncationError):
-        if method == LADDER:
-            raise
-        emb = None
+    """Run the analytic pipeline for one instance.  Only the ladder route
+    builds the truncate-and-renormalize embedded solution, and propagates its
+    failure; the renewal route returns ``None`` in its place."""
+    emb = embedded_P(params, eps) if method == LADDER else None
     return emb, limiting_pi(params, emb, method=method)
 
 
@@ -146,15 +138,9 @@ def evaluate_cell(
     cost: CostParams,
     method: str = RENEWAL,
 ) -> ObjectiveBreakdown:
-    """Solve one (v, w) cell end to end; invalid cells come back flagged.
-
-    The renewal route goes straight to :func:`limiting_pi`: the embedded
-    solution and ladder bands that :func:`solve_instance` adds are
-    diagnostics the cost does not use.
-    """
+    """Solve one (v, w) cell end to end; invalid cells come back flagged, and
+    a ladder cell whose embedded solution fails comes back as NaN."""
     params = SystemParams(v=v, w=w, lam=lam, posting=posting)
-    if method == RENEWAL:
-        return objective(params, cost, limiting_pi(params))
     try:
         _, dist = solve_instance(params, method=method)
     except (NoRootError, TruncationError):

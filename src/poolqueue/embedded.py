@@ -36,7 +36,9 @@ from scipy.sparse.linalg import spsolve
 from .dist import EXPONENTIAL, PostingDistribution, positive_int
 from .errors import NoRootError, TruncationError
 
-LEVEL_CAP = 1 << 16
+# Stored entries allowed in one truncated level or geometric head; a level
+# peaks near 40 bytes per entry while it is assembled and factored.
+ENTRY_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -193,37 +195,62 @@ def admission_P(params: SystemParams) -> np.ndarray:
 # -- infinite-queue solution ----------------------------------------------
 
 
+def _log1p_ratio(t: float) -> float:
+    """``log1p(t) / t - 1`` for t > -1; its series -t/2 + t^2/3 - ... near 0."""
+    if abs(t) >= 0.1:
+        return (math.log1p(t) - t) / t
+    return sum((-t) ** k / (k + 1) for k in range(1, 18))
+
+
 def characteristic_root(v: int, lam: float, a: float) -> float:
     """Unique real root > 1 of ``(1 + lam a) z^v - lam a z^{v+1} - 1``.
 
-    Exists exactly when the offered load ``lam a / v`` is below 1.
+    Exists exactly when the offered load ``lam a / v`` is below 1.  Solved
+    for ``x = z - 1`` from ``v log1p(x) + log1p(-lam a x) = 0``; below
+    x = 0.1 it is divided by x into the exact load gap ``v - lam a`` and two
+    terms of one sign, so nothing cancels however close the load is to 1.
     """
     la = lam * a
     if la / v >= 1.0:
         raise NoRootError(
             f"offered load lam*a/v = {la / v:.6g} >= 1; no root beyond 1 exists"
         )
+    if la < 1e-300:
+        raise NoRootError(f"lam*a = {la:.3g} puts the root, near 1 / (lam*a), out of float range")
+    if v == 1:
+        return 1.0 / la
 
-    def f(z):
-        return z**v * (1.0 + la * (1.0 - z)) - 1.0
+    def f(x):
+        t = la * x
+        if t >= 1.0:  # z^v (1 - lam a x) = 1 needs lam a x < 1
+            return -math.inf
+        if x >= 0.1:
+            return (v * math.log1p(x) + math.log1p(-t)) / x
+        return (v - la) + v * _log1p_ratio(x) - la * _log1p_ratio(-t)
 
-    hi = 2.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - defensive
-            raise NoRootError("failed to bracket the characteristic root")
-    z0 = brentq(f, 1.0 + 1e-12, hi, xtol=1e-15, rtol=8.9e-16)
-    # Newton polish to push the residual to rounding level
-    for _ in range(3):
-        fz = f(z0)
-        dfz = v * z0 ** (v - 1) * (1.0 + la * (1.0 - z0)) - la * z0**v
-        if dfz == 0:
-            break
-        step = fz / dfz
-        if z0 - step <= 1.0:
-            break
-        z0 -= step
-    return z0
+    # the root lies below 1 / (lam a), and f is -inf from there to the top
+    return 1.0 + brentq(f, 0.0, 2.0 / la, xtol=1e-300, maxiter=400)
+
+
+def _level_system(psis: np.ndarray, v: int, n: int, band: int):
+    """CSR of ``A = M^T - I`` with its last row set to ones (normalization).
+
+    Row j of the level-n matrix M holds ``psis`` from column ``(j - v)^+``,
+    at most ``band`` entries and short of column n - 1.  That column, the
+    absorbed tails, becomes the replaced row of ``A``, so it is never built.
+    """
+    d = np.maximum(np.arange(n) - v, 0)
+    length = np.minimum(d + band, n - 1) - d
+    # row j of A^T: length[j] kernel entries, then the one in column n - 1
+    indptr = np.concatenate(([0], np.cumsum(length + 1)))
+    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1], length + 1)
+    vals = psis[cols]
+    cols += np.repeat(d, length + 1)
+    cols[indptr[1:] - 1] = n - 1
+    vals[indptr[1:] - 1] = 1.0
+    AT = sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
+    # -I off the last row; the difference drops exact zeros
+    return (AT - sparse.diags(np.concatenate((np.ones(n - 1), [0.0])))).T.tocsr()
 
 
 def _truncated_infinite_Q(params: SystemParams, eps: float) -> np.ndarray:
@@ -231,44 +258,42 @@ def _truncated_infinite_Q(params: SystemParams, eps: float) -> np.ndarray:
 
     The level-N matrix absorbs each row's tail in its last column; N is
     doubled until both the absorbed tail mass and the change in the head
-    entries 0..w-v drop below ``eps``.
+    entries 0..w-v drop below ``eps``.  A level of ``N * (band + 1)`` stored
+    entries over :data:`ENTRY_BUDGET` raises :class:`TruncationError`
+    before it is built.
     """
     v, w, lam = params.v, params.w, params.lam
     head = w - v + 1
     n = max(64, 4 * (w + 1))
     prev_head = None
-    while n <= LEVEL_CAP:
+    while True:
         psis, _ = params.posting.psi_row(lam, n - 1)
         # kernel entries below rounding never influence eps-level results
         nz = np.nonzero(psis > 1e-18)[0]
-        band = int(nz[-1]) + 1 if nz.size else 1
-        band = max(band, head)
-        rows, cols, vals = [], [], []
-        for j in range(n):
-            d = max(j - v, 0)
-            hi = min(d + band, n - 1)
-            block = psis[: hi - d]
-            rows.extend([j] * (hi - d))
-            cols.extend(range(d, hi))
-            vals.extend(block)
-            rows.append(j)
-            cols.append(n - 1)
-            vals.append(1.0 - float(block.sum()))
-        M = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        A = (M.T - sparse.eye(n)).tolil()
-        A[n - 1, :] = 1.0
+        band = max(int(nz[-1]) + 1 if nz.size else 1, head)
+        if n * (band + 1) > ENTRY_BUDGET:
+            raise TruncationError(f"no convergence below eps={eps} before level {n}, whose "
+                                  f"{n * (band + 1)} entries pass the budget of {ENTRY_BUDGET}")
         b = np.zeros(n)
         b[n - 1] = 1.0
-        Q = spsolve(A.tocsr(), b)
+        Q = spsolve(_level_system(psis, v, n, band), b)
         tail = abs(Q[n - 1]) + max(0.0, 1.0 - float(Q[: n - 1].sum()))
         if prev_head is not None and tail < eps:
             if np.max(np.abs(Q[:head] - prev_head)) < eps:
                 return Q
         prev_head = Q[:head].copy()
         n *= 2
-    raise TruncationError(
-        f"truncated solve did not converge below eps={eps} at level cap {LEVEL_CAP}"
-    )
+
+
+def _geometric_Q(params: SystemParams, z0: float, eps: float) -> np.ndarray:
+    """Geometric head ``(1 - r) r^i``, ``r = 1 / z0``, until ``r^i < eps``."""
+    r = 1.0 / z0
+    # r is 1.0 when z0 - 1 is below rounding
+    terms = np.log(eps) / np.log(r) if r < 1.0 else np.inf
+    if terms + 1 > ENTRY_BUDGET:
+        raise TruncationError(f"geometric head of {terms + 1:.4g} terms passes the budget of {ENTRY_BUDGET}")
+    n = max(params.w - params.v + 1, int(np.ceil(terms)) + 1)
+    return (1.0 - r) * r ** np.arange(n)
 
 
 def infinite_queue_Q(
@@ -278,7 +303,8 @@ def infinite_queue_Q(
 
     Exponential postings use the geometric closed form driven by the
     characteristic root; other kinds (or ``method="solve"``) use the
-    truncated linear solve.  Requires offered load < 1.
+    truncated linear solve.  Requires offered load < 1; a head longer than
+    :data:`ENTRY_BUDGET` raises :class:`TruncationError`.
     """
     if method not in ("auto", "geometric", "solve"):
         raise ValueError(f"unknown method {method!r}")
@@ -291,23 +317,19 @@ def infinite_queue_Q(
     if method == "geometric" and kind != EXPONENTIAL:
         raise ValueError("geometric closed form applies to exponential postings only")
     if kind == EXPONENTIAL and method != "solve":
-        z0 = characteristic_root(params.v, params.lam, params.a)
-        r = 1.0 / z0
-        n = max(params.w - params.v + 1, int(np.ceil(np.log(eps) / np.log(r))) + 1)
-        return (1.0 - r) * r ** np.arange(n)
+        return _geometric_Q(params, characteristic_root(params.v, params.lam, params.a), eps)
     return _truncated_infinite_Q(params, eps)
 
 
 def embedded_P(params: SystemParams, eps: float = 1e-12) -> EmbeddedSolution:
     """Truncate-and-renormalize stationary vector on states 0..w-v."""
-    Q = infinite_queue_Q(params, eps)
+    exponential = params.posting.kind == EXPONENTIAL
+    root = characteristic_root(params.v, params.lam, params.a) if exponential else None
+    Q = _geometric_Q(params, root, eps) if exponential else infinite_queue_Q(params, eps)
     head = Q[: params.w - params.v + 1]
     kappa = 1.0 / float(head.sum())
     P = np.zeros(params.w + 1)
     P[: head.size] = kappa * head
-    root = None
-    if params.posting.kind == EXPONENTIAL:
-        root = characteristic_root(params.v, params.lam, params.a)
     return EmbeddedSolution(
         model_type=model_type(params),
         P=P,
@@ -317,15 +339,10 @@ def embedded_P(params: SystemParams, eps: float = 1e-12) -> EmbeddedSolution:
     )
 
 
-def tpm_stationary_delta(params: SystemParams, eps: float = 1e-12) -> float:
-    """Max-abs gap between the truncate-and-renormalize vector and the
-    stationary vector of :func:`build_tpm` on its reachable block.
-
-    The two need not coincide; the gap is reported as a diagnostic rather
-    than asserted away.
-    """
-    sol = embedded_P(params, eps)
+def tpm_stationary_delta(params: SystemParams, embedded: EmbeddedSolution) -> float:
+    """Max-abs gap between ``embedded`` (from :func:`embedded_P`) and the
+    stationary vector of :func:`build_tpm` on its reachable block.  The two
+    need not coincide; the gap is a diagnostic, not asserted away."""
     head = params.w - params.v + 1
-    block = build_tpm(params)[:head, :head]
-    direct = stationary_vector(block)
-    return float(np.max(np.abs(direct - sol.P[:head])))
+    direct = stationary_vector(build_tpm(params)[:head, :head])
+    return float(np.max(np.abs(direct - embedded.P[:head])))

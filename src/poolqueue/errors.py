@@ -11,7 +11,7 @@ class NoRootError(PoolQueueError):
 
 
 class TruncationError(PoolQueueError):
-    """The truncated linear solve did not converge below the hard level cap."""
+    """The truncated infinite-queue vector would pass its stored-entry budget."""
 
 
 class NoValidPointError(PoolQueueError):

@@ -137,20 +137,24 @@ def limiting_pi(
     tail of each start level.  This equals ``admission_P(params) @
     interval_occupancy(params)`` without building either (w+1)-square matrix.
 
-    ``embedded`` feeds the ladder route and the diagnostic ``g_vector``; it
-    is required for ``method="ladder"`` and optional otherwise (the renewal
-    route works at any load).  The law is ``valid`` when every entry is
-    finite and none is below ``-NEGATIVE_TOL``.
+    Only the ladder route (``method="ladder"``) uses ``embedded``, the
+    :func:`~poolqueue.embedded.embedded_P` solution of the same capacity, and
+    reports ``g_vector``.  The law is ``valid`` when every entry is finite
+    and none is below ``-NEGATIVE_TOL``.
     """
     if method not in (RENEWAL, LADDER):
         raise ValueError(f"unknown method {method!r}")
     v, w = params.v, params.w
 
-    gvec = g_vector(params, embedded.P) if embedded is not None else None
-
+    gvec = None
     if method == LADDER:
         if embedded is None:
             raise ValueError("the ladder route requires an embedded solution")
+        if embedded.P.size != w + 1:
+            raise ValueError(
+                f"embedded solution has {embedded.P.size} states, capacity w={w} needs {w + 1}"
+            )
+        gvec = g_vector(params, embedded.P)
         pi0 = (1.0 - gvec.sum()) / (1.0 + w)
         pi = np.empty(w + 1)
         pi[0] = pi0

@@ -240,7 +240,7 @@ def compare(
 
     The embedded comparison mirrors the analytic pre-posting vector onto the
     pool side before measuring distance; it is skipped when no embedded
-    solution is available (offered load >= 1).
+    solution is given (the renewal route, or offered load >= 1).
     """
     pi1 = dist.pi1
     sim_pool = sim_result.time_avg_dist

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from poolqueue import PostingDistribution, SystemParams, embedded_P, tpm_stationary_delta
 from poolqueue.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 BASE = [
@@ -88,6 +89,68 @@ def test_ladder_heavy_load_is_numerical_failure(capsys):
         "--dist", "exponential", "--mean", "1.0", "--method", "ladder",
     ])
     assert code == EXIT_NUMERIC
+    assert json.loads(err)["error"]["kind"] == "numerical"
+
+
+LADDER_KEYS = ("kappa", "root", "truncation_level", "P", "g_vector", "tpm_stationary_max_delta")
+EXP_V3_W35 = ["--v", "3", "--w", "35", "--dist", "exponential", "--mean", "1.3"]
+
+
+def test_default_solve_leaves_ladder_keys_null(capsys, tmp_path):
+    code, out, _ = run(capsys, ["solve", *BASE])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert all(key in result and result[key] is None for key in LADDER_KEYS)
+    out_file = tmp_path / "solve.csv"
+    run(capsys, ["solve", *BASE, "--format", "csv", "--out", str(out_file)])
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["nan"] * 7
+
+
+def test_ladder_solve_reports_one_embedded_solution(capsys):
+    code, out, _ = run(capsys, ["solve", *BASE, "--method", "ladder"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    p = SystemParams(v=2, w=6, lam=1.0, posting=PostingDistribution("exponential", 1.0))
+    emb = embedded_P(p)
+    assert result["P"] == list(emb.P)
+    assert result["root"] == emb.root
+    assert len(result["g_vector"]) == 6
+    assert result["tpm_stationary_max_delta"] == tpm_stationary_delta(p, emb)
+
+
+def test_default_solve_near_load_one_skips_the_truncated_solve(capsys):
+    # Erlang(3) at load 0.9997: the ladder's truncated solve, which the
+    # default used to run and drop, took 17.6 s and 1.85 GB and then failed
+    argv = ["solve", "--v", "3", "--w", "120", "--lambda", repr(0.9997 * 3 / 1.3),
+            "--dist", "erlang", "--shape", "3", "--mean", "1.3"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["valid"] is True
+    assert all(result[key] is None for key in LADDER_KEYS)
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_default_exponential_load_0_999999_exits_ok(capsys, command):
+    # the geometric head the default used to build here ran out of memory
+    argv = [command, *EXP_V3_W35, "--lambda", repr(0.999999 * 3 / 1.3)]
+    if command == "compare":
+        argv += ["--seed", "3", "--postings", "5000"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    if command == "compare":
+        assert [r["tv_embedded"] for r in result["policies"].values()] == [None, None]
+    else:
+        assert result["valid"] is True
+
+
+def test_ladder_at_load_one_minus_1e9_is_numerical_failure(capsys):
+    argv = ["solve", *EXP_V3_W35, "--lambda", repr((1 - 1e-9) * 3 / 1.3), "--method", "ladder"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
     assert json.loads(err)["error"]["kind"] == "numerical"
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from poolqueue import (
     ModelType,
     NoRootError,
+    TruncationError,
     PostingDistribution,
     SystemParams,
     admission_P,
@@ -21,7 +22,9 @@ from poolqueue import (
     model_type,
     stationary_vector,
 )
+from poolqueue import embedded
 from poolqueue.embedded import kernel
+from truncated_reference import truncated_Q
 
 
 def exp_params(v, w, lam, a):
@@ -101,11 +104,50 @@ def test_root_satisfies_equation(v, rho, lam):
     assert abs(residual) < 1e-10 * max(1.0, z0**v)
 
 
+def mp_root_gap(v, la, mpmath):
+    """x = z - 1 > 0 with (1 + x)^v (1 - la x) = 1, bisected at 40 digits."""
+    lo, hi = mpmath.mpf(0), 1 / la
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if (1 + mid) ** v * (1 - la * mid) > 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("v", [1, 3, 10, 100])
+def test_root_matches_high_precision(v):
+    # the old bisection in z returned its bracket floor 1 + 1e-12 from load
+    # 0.99999 up, whatever the true root
+    mpmath = pytest.importorskip("mpmath")
+    lam = 2.2
+    with mpmath.workdps(40):
+        for load in (1e-3, 0.1, 0.5, 0.9, 1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5,
+                     1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 1e-9):
+            a = load * v / lam
+            x_ref = mp_root_gap(v, mpmath.mpf(lam * a), mpmath)
+            z0 = characteristic_root(v, lam, a)
+            err = float(abs(mpmath.mpf(z0) - 1 - x_ref))
+            # 1e-9 relative on z0 - 1, except where one ulp of z0 is coarser
+            bound = max(1e-9 * float(x_ref), float(np.spacing(z0)))
+            assert err <= bound, f"v={v} load {load!r}: z0-1 off by {err:.3g}"
+
+
+def test_root_at_light_load_sits_at_the_bracket_top():
+    # (1 + x)^v (1 - lam a x) = 1 puts x within rounding of 1 / (lam a), where
+    # the bracket ends; brentq stops within its relative tolerance of it
+    assert characteristic_root(100, 1.0, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0)
+    assert characteristic_root(3, 1e-300, 1.0) == pytest.approx(1e300, rel=1e-15, abs=0)
+
+
 def test_root_missing_at_heavy_load():
     with pytest.raises(NoRootError, match="offered load"):
         characteristic_root(1, 2.0, 0.5)  # load exactly 1
     with pytest.raises(NoRootError):
         characteristic_root(2, 2.2, 1.3)  # load 1.43
+    with pytest.raises(NoRootError, match="float range"):
+        characteristic_root(2, 1e-200, 1e-120)  # root near 1e320
 
 
 # -- infinite-queue head ---------------------------------------------------
@@ -155,6 +197,53 @@ def test_truncation_eps_invariance():
     assert np.max(np.abs(a - b)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["exponential", "deterministic", "erlang"])
+@pytest.mark.parametrize("v, w", [(1, 5), (3, 8), (5, 5)])
+@pytest.mark.parametrize("load", [0.3, 0.9])
+def test_truncated_solve_matches_list_built_reference(kind, v, w, load):
+    p = SystemParams(v=v, w=w, lam=load * v / 1.3, posting=PostingDistribution(kind, 1.3, shape=3))
+    assert np.array_equal(infinite_queue_Q(p, method="solve"), truncated_Q(p))
+
+
+def test_truncation_budget_refuses_a_level_before_building_it(monkeypatch):
+    built = []
+    level_system = embedded._level_system
+
+    def spy(psis, v, n, band):
+        A = level_system(psis, v, n, band)
+        built.append(A.nnz)
+        return A
+
+    monkeypatch.setattr(embedded, "_level_system", spy)
+    p = SystemParams(v=3, w=35, lam=0.99 * 3 / 1.3, posting=PostingDistribution("erlang", 1.3, shape=3))
+    # the first level, 144 x (band + 1) entries, is already over
+    monkeypatch.setattr(embedded, "ENTRY_BUDGET", 1000)
+    with pytest.raises(TruncationError, match="budget"):
+        infinite_queue_Q(p)
+    assert built == []
+    # some levels fit, and the first one that does not is never built
+    monkeypatch.setattr(embedded, "ENTRY_BUDGET", 50_000)
+    with pytest.raises(TruncationError, match="budget"):
+        embedded_P(p)
+    assert built and max(built) <= 50_000
+
+
+def test_geometric_head_over_budget_is_a_truncation_error(monkeypatch):
+    p = exp_params(3, 35, 2.2, 0.99 * 3 / 2.2)  # about 8000 terms
+    assert infinite_queue_Q(p).size > 100
+    monkeypatch.setattr(embedded, "ENTRY_BUDGET", 100)
+    with pytest.raises(TruncationError, match="budget"):
+        infinite_queue_Q(p)
+
+
+def test_geometric_head_near_load_one_is_a_truncation_error():
+    # ~5.5e10 terms at load 1 - 1e-9; numpy used to be asked for them, and
+    # with the old bracket-floor root for 201 TiB
+    p = exp_params(3, 35, 2.2, (1 - 1e-9) * 3 / 2.2)
+    with pytest.raises(TruncationError, match="budget"):
+        embedded_P(p)
+
+
 def test_infinite_queue_requires_stability():
     with pytest.raises(NoRootError):
         infinite_queue_Q(exp_params(2, 5, 2.2, 1.3))
@@ -184,6 +273,20 @@ def test_embedded_P_full_batch_capacity():
     sol = embedded_P(exp_params(4, 4, 1.0, 0.5))
     assert sol.P[0] == pytest.approx(1.0)
     assert sol.root is not None
+
+
+def test_embedded_P_finds_the_root_once(monkeypatch):
+    calls = []
+    root = embedded.characteristic_root
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(embedded, "characteristic_root", counted)
+    sol = embedded_P(exp_params(3, 35, 2.2, 1.3))
+    assert calls == [(3, 2.2, 1.3)]
+    assert sol.root == root(3, 2.2, 1.3)
 
 
 def test_embedded_P_nonexponential_has_no_root():

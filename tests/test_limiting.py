@@ -15,6 +15,7 @@ from poolqueue import (
     admission_tpm,
     bhat,
     cost,
+    embedded,
     embedded_P,
     evaluate_cell,
     g_vector,
@@ -25,6 +26,7 @@ from poolqueue import (
     solve_instance,
     sweep,
 )
+from poolqueue.cli import main
 from poolqueue.embedded import kernel, start_level_P
 
 
@@ -193,6 +195,14 @@ def test_renewal_always_a_distribution(v, extra, la, kind):
     assert dist.valid
 
 
+def test_ladder_rejects_an_embedded_solution_of_another_capacity():
+    # a w=10 vector used to give a normalized law for w=5, marked valid
+    p5, p10 = exp_params(2, 5, 1.0, 0.5), exp_params(2, 10, 1.0, 0.5)
+    with pytest.raises(ValueError, match="capacity w=5"):
+        limiting_pi(p5, embedded_P(p10), method=LADDER)
+    assert limiting_pi(p5, embedded_P(p5), method=LADDER).valid
+
+
 def test_solve_instance_heavy_load_renewal_only():
     # above offered load 1 the embedded head does not exist; the renewal
     # route proceeds without it while the ladder route refuses
@@ -296,5 +306,20 @@ def test_renewal_cost_path_skips_embedded_diagnostics(monkeypatch):
     evaluate_cell(2, 6, 1.0, posting, costs, method=LADDER)
     assert len(emb_calls) == 1 and len(g_calls) == 1
     optimize_v(6, 0.5, posting, costs, 2, method=LADDER)
-    solve_instance(SystemParams(v=2, w=6, lam=1.0, posting=posting))
-    assert len(emb_calls) == 4 and len(g_calls) == 4
+    assert len(emb_calls) == 3 and len(g_calls) == 3
+    # a default solve_instance runs the renewal route alone
+    emb, dist = solve_instance(SystemParams(v=2, w=6, lam=1.0, posting=posting))
+    assert emb is None and dist.g_vector is None
+    assert len(emb_calls) == 3 and len(g_calls) == 3
+
+
+def test_cli_solve_runs_one_embedded_solve_only_for_ladder(monkeypatch):
+    # counted at both bindings: solve_instance looks it up in cost, code in
+    # embedded (as tpm_stationary_delta did) in embedded
+    calls = [counting(monkeypatch, module, "embedded_P") for module in (cost, embedded)]
+    argv = ["solve", "--v", "2", "--w", "6", "--lambda", "1.0", "--dist", "erlang",
+            "--shape", "3", "--mean", "1.3"]
+    assert main(argv) == 0
+    assert calls == [[], []]
+    assert main([*argv, "--method", "ladder"]) == 0
+    assert sum(map(len, calls)) == 1

@@ -13,6 +13,7 @@ from poolqueue import (
     SimConfig,
     SystemParams,
     compare,
+    embedded_P,
     objective,
     run_sim,
     solve_instance,
@@ -144,10 +145,10 @@ def test_total_variation_basics():
 
 def test_compare_analytic_vs_sim_clip():
     p = exp_params(2, 6, 1.0, 1.0)
-    emb, dist = solve_instance(p)
+    _, dist = solve_instance(p)
     bd = objective(p, COST, dist)
     r = run_sim(p, COST, SimConfig(seed=21, num_postings=300_000))
-    report = compare(dist, bd, r, emb)
+    report = compare(dist, bd, r, embedded_P(p))
     assert report.tv_time_avg < 0.01
     assert report.tv_embedded is not None
     assert report.cost_rate_rel_error < 0.05
