@@ -5,6 +5,10 @@ Inputs come from a JSON config file and/or flags (flags win); every emitted
 document embeds the fully-resolved configuration, so a document is enough to
 reproduce its own run.  Output is JSON (default) or CSV, to stdout or a file.
 
+Every setting is one row of ``_SETTINGS``: its config key, its flag and the
+function that parses it.  Each value, from the file or from a flag, is parsed
+once before any solve, and a bad one is a configuration error (exit 2).
+
 Ladder fields (``kappa``, ``root``, ``truncation_level``, ``P``, ``g_vector``,
 ``tpm_stationary_max_delta``, ``tv_embedded``) are computed only with
 ``--method ladder``; otherwise they are null, and the CSV ``P`` column nan.
@@ -19,11 +23,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable
 
 import numpy as np
 
 from . import sim as sim_mod
-from .dist import parse_distribution, positive_int
+from .dist import DETERMINISTIC, ERLANG, EXPONENTIAL, PostingDistribution, positive_int
 from .embedded import SystemParams, model_type, tpm_stationary_delta
 from .errors import NoRootError, NoValidPointError, PoolQueueError, TruncationError
 from .limiting import RENEWAL, LADDER
@@ -39,34 +44,133 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "params": {"v", "w", "lambda", "posting"},
-    "cost": {"ch", "cr", "cd", "holding_table", "reserve_table"},
-    "sim": {"seed", "postings", "warmup", "policy"},
-    "options": {
-        "vmax",
-        "vmin",
-        "wmin",
-        "wmax",
-        "format",
-        "out",
-        "method",
-        "enforce_capability",
-        "tol_tv",
-        "tol_cost",
-    },
-}
+# -- value parsers: (key, value) -> value, ValueError when it is bad ---------
 
 
-def _check_keys(config: dict) -> None:
-    for section, payload in config.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        for key in payload:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in config section {section!r}")
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """A whole number; JSON may write it as ``3.0``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _reals(name: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_real(name, x) for x in value)
+
+
+class _Choice(tuple):
+    """One of a fixed set of strings; doubles as argparse ``choices``."""
+
+    def __call__(self, name: str, value) -> str:
+        if value not in self:
+            raise ValueError(f"{name} must be one of {list(self)}, got {value!r}")
+        return value
+
+
+_REQUIRED = object()  # the default of a setting that every subcommand needs
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    path: tuple[str, ...]  # config section, key (and posting field)
+    parse: Callable
+    flag: str | None = None  # None: config file only
+    command: str | None = None  # the one subcommand offering the flag; None: all
+    default: object = None  # None: absent unless given
+
+    @property
+    def dest(self) -> str | None:
+        return self.flag and self.flag[2:].replace("-", "_")
+
+
+_SETTINGS = (
+    _Setting(("params", "v"), positive_int, "--v"),
+    _Setting(("params", "w"), positive_int, "--w", default=_REQUIRED),
+    _Setting(("params", "lambda"), _real, "--lambda", default=_REQUIRED),
+    _Setting(("params", "posting", "kind"), _Choice((EXPONENTIAL, DETERMINISTIC, ERLANG)), "--dist", default=_REQUIRED),
+    _Setting(("params", "posting", "mean"), _real, "--mean", default=_REQUIRED),
+    _Setting(("params", "posting", "shape"), positive_int, "--shape", default=1),
+    _Setting(("cost", "ch"), _real, "--ch", default=0.0),
+    _Setting(("cost", "cr"), _real, "--cr", default=0.0),
+    _Setting(("cost", "cd"), _real, "--cd", default=0.0),
+    _Setting(("cost", "holding_table"), _reals),
+    _Setting(("cost", "reserve_table"), _reals),
+    _Setting(("sim", "seed"), _integer, "--seed", default=0),
+    _Setting(("sim", "postings"), _integer, "--postings", default=100_000),
+    _Setting(("sim", "warmup"), _real, "--warmup", default=0.1),
+    _Setting(("sim", "policy"), _Choice((sim_mod.CLIP, sim_mod.REJECT)), "--policy", default=sim_mod.CLIP),
+    _Setting(("options", "vmin"), _integer, "--vmin", command="sweep", default=1),
+    _Setting(("options", "vmax"), _integer, "--vmax"),  # default: w
+    _Setting(("options", "wmin"), _integer, "--wmin", command="sweep"),  # default: w
+    _Setting(("options", "wmax"), _integer, "--wmax", command="sweep"),  # default: w
+    _Setting(("options", "method"), _Choice((RENEWAL, LADDER)), "--method", default=RENEWAL),
+    _Setting(("options", "enforce_capability"), _boolean, "--enforce-capability", default=False),
+    _Setting(("options", "tol_tv"), _real, "--tol-tv", command="compare", default=0.01),
+    _Setting(("options", "tol_cost"), _real, "--tol-cost", command="compare", default=0.05),
+    _Setting(("options", "format"), _Choice(("json", "csv")), "--format", default="json"),
+    _Setting(("options", "out"), _text, "--out", default="-"),
+)
+
+
+def _tree(settings) -> dict:
+    """The settings nested by path: section -> key -> setting (or record)."""
+    tree: dict = {}
+    for setting in settings:
+        *parents, key = setting.path
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = setting
+    return tree
+
+
+_TREE = _tree(_SETTINGS)
+
+
+def _resolve(config, flags: dict, node: dict = _TREE, where: tuple = ()) -> dict:
+    """Check ``config``'s keys against the settings, overlay the given
+    ``flags`` (by dest) and parse every value; fill in defaults."""
+    place = f"config section {'.'.join(where)!r}" if where else "config file"
+    if not isinstance(config, dict):
+        raise ConfigError(f"{place} must be a JSON object")
+    for key in config:
+        if key not in node:
+            raise ConfigError(f"unknown key {key!r} in {place}")
+    resolved = {}
+    for key, entry in node.items():
+        if isinstance(entry, dict):
+            resolved[key] = _resolve(config.get(key, {}), flags, entry, (*where, key))
+        elif entry.dest in flags or key in config:
+            value = flags[entry.dest] if entry.dest in flags else config[key]
+            try:
+                resolved[key] = entry.parse(key, value)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(str(exc)) from exc
+        elif entry.default is _REQUIRED:
+            raise ConfigError(f"missing required setting {key!r} in {place}")
+        elif entry.default is not None:
+            resolved[key] = entry.default
+    return resolved
 
 
 def _load_config(path: str | None) -> dict:
@@ -74,152 +178,76 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config file must contain a JSON object")
-    _check_keys(config)
-    return config
 
 
-def _merge(config: dict, args: argparse.Namespace) -> dict:
-    """Overlay command-line flags onto the file config."""
-    merged = {section: dict(config.get(section, {})) for section in _SCHEMA}
-    flag_map = {
-        "params": {"v": args.v, "w": args.w, "lambda": args.lam},
-        "cost": {"ch": args.ch, "cr": args.cr, "cd": args.cd},
-        "sim": {
-            "seed": args.seed,
-            "postings": args.postings,
-            "warmup": args.warmup,
-            "policy": args.policy,
-        },
-        "options": {
-            "vmax": args.vmax,
-            "vmin": getattr(args, "vmin", None),
-            "wmin": getattr(args, "wmin", None),
-            "wmax": getattr(args, "wmax", None),
-            "format": args.format,
-            "out": args.out,
-            "method": args.method,
-            "enforce_capability": args.enforce_capability or None,
-            "tol_tv": getattr(args, "tol_tv", None),
-            "tol_cost": getattr(args, "tol_cost", None),
-        },
-    }
-    for section, flags in flag_map.items():
-        for key, value in flags.items():
-            if value is not None:
-                merged[section][key] = value
-    if args.dist is not None or args.mean is not None or args.shape is not None:
-        posting = dict(merged["params"].get("posting", {}))
-        if args.dist is not None:
-            posting["kind"] = args.dist
-        if args.mean is not None:
-            posting["mean"] = args.mean
-        if args.shape is not None:
-            posting["shape"] = args.shape
-        merged["params"]["posting"] = posting
-    return merged
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required setting {key!r} in {where}")
-    return section[key]
-
-
-def _build_params(merged: dict, need_v: bool = True) -> tuple[SystemParams | None, dict]:
-    p = merged["params"]
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError (a rejected value) a ConfigError."""
     try:
-        w = positive_int("w", _require(p, "w", "params"))
-        lam = float(_require(p, "lambda", "params"))
-        posting = parse_distribution(_require(p, "posting", "params"))
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    resolved = {
-        "w": w,
-        "lambda": lam,
-        "posting": {"kind": posting.kind, "mean": posting.mean, "shape": posting.shape},
-    }
-    if not need_v:
-        return None, resolved | {"_lam": lam, "_posting": posting}
-    try:
-        v = positive_int("v", _require(p, "v", "params"))
-        params = SystemParams(v=v, w=w, lam=lam, posting=posting)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {"v": v} | resolved
-    return params, resolved
 
 
-def _build_cost(merged: dict) -> tuple[CostParams, dict]:
-    c = merged["cost"]
-    ch = float(c.get("ch", 0.0))
-    cr = float(c.get("cr", 0.0))
-    cd = float(c.get("cd", 0.0))
-    ht = tuple(float(x) for x in c["holding_table"]) if "holding_table" in c else None
-    rt = tuple(float(x) for x in c["reserve_table"]) if "reserve_table" in c else None
-    try:
-        cost = CostParams(c_h=ch, c_r=cr, c_d=cd, holding_table=ht, reserve_table=rt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {"ch": ch, "cr": cr, "cd": cd}
-    if ht is not None:
-        resolved["holding_table"] = list(ht)
-    if rt is not None:
-        resolved["reserve_table"] = list(rt)
-    return cost, resolved
+def _pool(cfg: dict) -> tuple[int, float, PostingDistribution]:
+    p = cfg["params"]
+    return p["w"], p["lambda"], _checked(PostingDistribution, **p["posting"])
 
 
-def _build_sim(merged: dict) -> tuple[sim_mod.SimConfig, dict]:
-    s = merged["sim"]
-    try:
-        config = sim_mod.SimConfig(
-            seed=int(s.get("seed", 0)),
-            num_postings=int(s.get("postings", 100_000)),
-            warmup_fraction=float(s.get("warmup", 0.1)),
-            policy=str(s.get("policy", sim_mod.CLIP)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {
-        "seed": config.seed,
-        "postings": config.num_postings,
-        "warmup": config.warmup_fraction,
-        "policy": config.policy,
-    }
-    return config, resolved
+def _system(cfg: dict) -> SystemParams:
+    """The instance of the commands that take one batch size ``v``."""
+    if "v" not in cfg["params"]:
+        raise ConfigError("missing required setting 'v' in config section 'params'")
+    return _checked(SystemParams, cfg["params"]["v"], *_pool(cfg))
 
 
-def _method(merged: dict) -> str:
-    method = merged["options"].get("method", RENEWAL)
-    if method not in (RENEWAL, LADDER):
-        raise ConfigError(f"unknown method {method!r}")
-    return method
+def _cost(cfg: dict) -> CostParams:
+    c = cfg["cost"]
+    return _checked(CostParams, c["ch"], c["cr"], c["cd"], c.get("holding_table"), c.get("reserve_table"))
 
 
-def _emit(document: dict, merged: dict, csv_rows=None, csv_header=None) -> None:
-    fmt = merged["options"].get("format", "json")
-    out = merged["options"].get("out", "-")
-    if fmt == "json":
+def _sim(cfg: dict) -> sim_mod.SimConfig:
+    s = cfg["sim"]
+    return _checked(sim_mod.SimConfig, s["seed"], s["postings"], s["warmup"], s["policy"])
+
+
+# -- output ----------------------------------------------------------------
+
+_CSV_HEADERS = {
+    "solve": ("k", "P", "pi", "pi1"),
+    "optimize": ("v", "holding", "reserve", "posting", "total", "valid", "capability"),
+    "sweep": ("v", "w", "feasible", "holding", "reserve", "posting", "total", "valid", "capability"),
+    "simulate": ("k", "time_avg", "embedded"),
+    "compare": ("policy", "tv_time_avg", "max_abs_delta", "tv_embedded", "cost_rate_rel_error", "passed"),
+}
+
+
+def _records(**columns) -> list[dict]:
+    """Equal-length columns as one record per row."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _emit(document: dict, cfg: dict, records: list[dict]) -> None:
+    """Write ``document`` as JSON, or ``records`` projected onto the
+    command's CSV header."""
+    opts = cfg["options"]
+    if opts["format"] == "json":
         text = json.dumps(document, indent=2, default=_jsonable) + "\n"
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise ConfigError(f"command {document['command']!r} has no csv rendering")
-        lines = ["# config: " + json.dumps(document["config"])]
-        lines.append(",".join(csv_header))
-        for row in csv_rows:
-            lines.append(",".join(_csv_field(x) for x in row))
+    else:
+        header = _CSV_HEADERS[document["command"]]
+        lines = ["# config: " + json.dumps(document["config"]), ",".join(header)]
+        lines += [",".join(_csv_field(record[h]) for h in header) for record in records]
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    if out in (None, "-"):
+    if opts["out"] == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(opts["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {opts['out']}: {exc}") from exc
 
 
 def _jsonable(x):
@@ -232,6 +260,8 @@ def _jsonable(x):
 
 
 def _csv_field(x) -> str:
+    if x is None:
+        return "nan"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -244,9 +274,9 @@ def _listify(arr) -> list:
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_solve(merged: dict) -> int:
-    params, resolved_params = _build_params(merged)
-    method = _method(merged)
+def _cmd_solve(cfg: dict) -> int:
+    params = _system(cfg)
+    method = cfg["options"]["method"]
     emb, dist = solve_instance(params, method=method)
     result = {
         "model_type": model_type(params).value,
@@ -264,27 +294,24 @@ def _cmd_solve(merged: dict) -> int:
         "capability": capability(params.lam, params.a, params.w),
         "tpm_stationary_max_delta": tpm_stationary_delta(params, emb) if emb else None,
     }
-    document = {"command": "solve", "config": {"params": resolved_params, "options": {"method": method}}, "result": result}
-    rows = [
-        (k, result["P"][k] if result["P"] else float("nan"), result["pi"][k], result["pi1"][k])
-        for k in range(params.w + 1)
-    ]
-    _emit(document, merged, rows, ("k", "P", "pi", "pi1"))
+    document = {"command": "solve", "config": {"params": cfg["params"], "options": {"method": method}}, "result": result}
+    levels = range(params.w + 1)
+    _emit(document, cfg, _records(k=levels, P=result["P"] or [None] * len(levels), pi=result["pi"], pi1=result["pi1"]))
     return EXIT_OK if dist.valid else EXIT_INVALID
 
 
-def _cmd_optimize(merged: dict) -> int:
-    _, resolved_params = _build_params(merged, need_v=False)
-    lam, posting = resolved_params.pop("_lam"), resolved_params.pop("_posting")
-    cost, resolved_cost = _build_cost(merged)
-    method = _method(merged)
-    w = resolved_params["w"]
-    v_max = int(merged["options"].get("vmax", w))
-    enforce = bool(merged["options"].get("enforce_capability", False))
-    try:
-        res = optimize_v(w, lam, posting, cost, v_max, method=method, enforce_capability=enforce)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _pool_config(cfg: dict) -> dict:
+    """The ``params`` record of the commands that range over v."""
+    return {key: value for key, value in cfg["params"].items() if key != "v"}
+
+
+def _cmd_optimize(cfg: dict) -> int:
+    w, lam, posting = _pool(cfg)
+    cost = _cost(cfg)
+    opts = cfg["options"]
+    method, enforce = opts["method"], opts["enforce_capability"]
+    v_max = opts.get("vmax", w)
+    res = _checked(optimize_v, w, lam, posting, cost, v_max, method=method, enforce_capability=enforce)
     rho = capability(lam, posting.mean, w)
     curve = [
         {"v": v} | dataclasses.asdict(bd) | {"capability": rho} for v, bd in res.curve
@@ -292,8 +319,8 @@ def _cmd_optimize(merged: dict) -> int:
     document = {
         "command": "optimize",
         "config": {
-            "params": resolved_params,
-            "cost": resolved_cost,
+            "params": _pool_config(cfg),
+            "cost": cfg["cost"],
             "options": {"vmax": v_max, "method": method, "enforce_capability": enforce},
         },
         "result": {
@@ -303,53 +330,35 @@ def _cmd_optimize(merged: dict) -> int:
             "curve": curve,
         },
     }
-    rows = [
-        (c["v"], c["holding"], c["reserve"], c["posting"], c["total"], c["valid"], c["capability"])
-        for c in curve
-    ]
-    header = ("v", "holding", "reserve", "posting", "total", "valid", "capability")
-    _emit(document, merged, rows, header)
+    _emit(document, cfg, curve)
     return EXIT_OK if not res.any_invalid else EXIT_INVALID
 
 
-def _cmd_sweep(merged: dict) -> int:
-    _, resolved_params = _build_params(merged, need_v=False)
-    lam, posting = resolved_params.pop("_lam"), resolved_params.pop("_posting")
-    cost, resolved_cost = _build_cost(merged)
-    method = _method(merged)
-    opts = merged["options"]
-    w_top = resolved_params["w"]
-    vmin = int(opts.get("vmin", 1))
-    vmax = int(opts.get("vmax", w_top))
-    wmin = int(opts.get("wmin", w_top))
-    wmax = int(opts.get("wmax", w_top))
+_INFEASIBLE = ObjectiveBreakdown(*[float("nan")] * 5, valid=False)
+
+
+def _cmd_sweep(cfg: dict) -> int:
+    w, lam, posting = _pool(cfg)
+    cost = _cost(cfg)
+    opts = cfg["options"]
+    method = opts["method"]
+    ranges = {"vmin": opts["vmin"], "vmax": opts.get("vmax", w), "wmin": opts.get("wmin", w), "wmax": opts.get("wmax", w)}
+    vmin, vmax, wmin, wmax = ranges.values()
     if vmin < 1 or vmin > vmax or wmin < 1 or wmin > wmax:
         raise ConfigError("sweep ranges must satisfy 1 <= vmin <= vmax and 1 <= wmin <= wmax")
-    cells = sweep(lam, posting, cost, range(vmin, vmax + 1), range(wmin, wmax + 1), method=method)
-    any_invalid = False
-    rows = []
-    out_cells = []
-    for cell in cells:
-        if cell.feasible:
-            bd = dataclasses.asdict(cell.breakdown)
-            any_invalid = any_invalid or not cell.breakdown.valid
-        else:
-            bd = dataclasses.asdict(ObjectiveBreakdown(*[float("nan")] * 5, valid=False))
-        out_cells.append({"v": cell.v, "w": cell.w, "feasible": cell.feasible} | bd | {"capability": cell.capability})
-        rows.append(
-            (cell.v, cell.w, cell.feasible, bd["holding"], bd["reserve"], bd["posting"], bd["total"], bd["valid"], cell.capability)
-        )
+    cells = [
+        {"v": cell.v, "w": cell.w, "feasible": cell.feasible}
+        | dataclasses.asdict(cell.breakdown or _INFEASIBLE)
+        | {"capability": cell.capability}
+        for cell in _checked(sweep, lam, posting, cost, range(vmin, vmax + 1), range(wmin, wmax + 1), method=method)
+    ]
+    any_invalid = any(cell["feasible"] and not cell["valid"] for cell in cells)
     document = {
         "command": "sweep",
-        "config": {
-            "params": resolved_params,
-            "cost": resolved_cost,
-            "options": {"vmin": vmin, "vmax": vmax, "wmin": wmin, "wmax": wmax, "method": method},
-        },
-        "result": {"cells": out_cells, "any_invalid": any_invalid},
+        "config": {"params": _pool_config(cfg), "cost": cfg["cost"], "options": ranges | {"method": method}},
+        "result": {"cells": cells, "any_invalid": any_invalid},
     }
-    header = ("v", "w", "feasible", "holding", "reserve", "posting", "total", "valid", "capability")
-    _emit(document, merged, rows, header)
+    _emit(document, cfg, cells)
     return EXIT_OK if not any_invalid else EXIT_INVALID
 
 
@@ -365,34 +374,26 @@ def _sim_result_dict(result: sim_mod.SimResult) -> dict:
     }
 
 
-def _cmd_simulate(merged: dict) -> int:
-    params, resolved_params = _build_params(merged)
-    cost, resolved_cost = _build_cost(merged)
-    config, resolved_sim = _build_sim(merged)
-    result = sim_mod.run_sim(params, cost, config)
+def _cmd_simulate(cfg: dict) -> int:
+    params, cost, config = _system(cfg), _cost(cfg), _sim(cfg)
+    result = _sim_result_dict(sim_mod.run_sim(params, cost, config))
     document = {
         "command": "simulate",
-        "config": {"params": resolved_params, "cost": resolved_cost, "sim": resolved_sim},
-        "result": _sim_result_dict(result),
+        "config": {"params": cfg["params"], "cost": cfg["cost"], "sim": cfg["sim"]},
+        "result": result,
     }
-    rows = [
-        (k, result.time_avg_dist[k], result.embedded_dist[k]) for k in range(params.w + 1)
-    ]
-    _emit(document, merged, rows, ("k", "time_avg", "embedded"))
+    levels = range(params.w + 1)
+    _emit(document, cfg, _records(k=levels, time_avg=result["time_avg_dist"], embedded=result["embedded_dist"]))
     return EXIT_OK
 
 
-def _cmd_compare(merged: dict) -> int:
-    params, resolved_params = _build_params(merged)
-    cost, resolved_cost = _build_cost(merged)
-    config, resolved_sim = _build_sim(merged)
-    method = _method(merged)
-    tol_tv = float(merged["options"].get("tol_tv", 0.01))
-    tol_cost = float(merged["options"].get("tol_cost", 0.05))
+def _cmd_compare(cfg: dict) -> int:
+    params, cost, config = _system(cfg), _cost(cfg), _sim(cfg)
+    opts = cfg["options"]
+    method, tol_tv, tol_cost = opts["method"], opts["tol_tv"], opts["tol_cost"]
     emb, dist = solve_instance(params, method=method)
     bd = objective(params, cost, dist)
     reports = {}
-    rows = []
     for policy in (sim_mod.CLIP, sim_mod.REJECT):
         run_config = dataclasses.replace(config, policy=policy)
         result = sim_mod.run_sim(params, cost, run_config)
@@ -406,22 +407,12 @@ def _cmd_compare(merged: dict) -> int:
             "passed": report.passed,
             "sim": _sim_result_dict(result),
         }
-        rows.append(
-            (
-                policy,
-                report.tv_time_avg,
-                report.max_abs_delta,
-                float("nan") if report.tv_embedded is None else report.tv_embedded,
-                report.cost_rate_rel_error,
-                report.passed,
-            )
-        )
     document = {
         "command": "compare",
         "config": {
-            "params": resolved_params,
-            "cost": resolved_cost,
-            "sim": resolved_sim,
+            "params": cfg["params"],
+            "cost": cfg["cost"],
+            "sim": cfg["sim"],
             "options": {"method": method, "tol_tv": tol_tv, "tol_cost": tol_cost},
         },
         "result": {
@@ -434,12 +425,21 @@ def _cmd_compare(merged: dict) -> int:
             "policies": reports,
         },
     }
-    header = ("policy", "tv_time_avg", "max_abs_delta", "tv_embedded", "cost_rate_rel_error", "passed")
-    _emit(document, merged, rows, header)
+    _emit(document, cfg, [{"policy": policy} | report for policy, report in reports.items()])
     return EXIT_OK if dist.valid else EXIT_INVALID
 
 
 # -- argument parsing ------------------------------------------------------
+
+_FLAG_TYPES = {positive_int: int, _integer: int, _real: float}
+
+
+def _flag_options(parse) -> dict:
+    if parse is _boolean:
+        return {"action": "store_true", "default": None}
+    if isinstance(parse, _Choice):
+        return {"choices": parse}
+    return {"type": _FLAG_TYPES.get(parse)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,40 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--v", type=int)
-        p.add_argument("--w", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--mean", type=float)
-        p.add_argument("--dist", choices=["exponential", "deterministic", "erlang"])
-        p.add_argument("--shape", type=int)
-        p.add_argument("--ch", type=float)
-        p.add_argument("--cr", type=float)
-        p.add_argument("--cd", type=float)
-        p.add_argument("--vmax", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--postings", type=int)
-        p.add_argument("--warmup", type=float)
-        p.add_argument("--policy", choices=[sim_mod.CLIP, sim_mod.REJECT])
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--out")
-        p.add_argument("--method", choices=[RENEWAL, LADDER])
-        p.add_argument("--enforce-capability", action="store_true", default=False)
-        if name == "sweep":
-            p.add_argument("--vmin", type=int)
-            p.add_argument("--wmin", type=int)
-            p.add_argument("--wmax", type=int)
-        if name == "compare":
-            p.add_argument("--tol-tv", dest="tol_tv", type=float)
-            p.add_argument("--tol-cost", dest="tol_cost", type=float)
+        for setting in _SETTINGS:
+            if setting.flag and setting.command in (None, name):
+                p.add_argument(setting.flag, **_flag_options(setting.parse))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
     try:
-        merged = _merge(_load_config(args.config), args)
-        return args.handler(merged)
+        return args.handler(_resolve(_load_config(args.config), flags))
     except ConfigError as exc:
         print(json.dumps({"error": {"kind": "config", "message": str(exc)}}), file=sys.stderr)
         return EXIT_CONFIG

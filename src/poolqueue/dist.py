@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import betainc, gammaln, pdtrc
+from scipy.special import betainc, binom, gammainc, gammaln, pdtrc, xlogy
 
 EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
@@ -35,12 +34,12 @@ _KINDS = (EXPONENTIAL, DETERMINISTIC, ERLANG)
 
 def positive_int(name: str, value) -> int:
     """``value`` as an ``int`` when it is a whole number >= 1; ValueError
-    otherwise (also for non-numbers, NaN and infinities)."""
+    otherwise (also for booleans, non-numbers, NaN and infinities)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
-    if n != value or n < 1:
+    if isinstance(value, bool) or n != value or n < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return n
 
@@ -89,7 +88,7 @@ class PostingDistribution:
             return np.where(x < 0, 0.0, -np.expm1(-x / a))
         if self.kind == DETERMINISTIC:
             return np.where(x >= a, 1.0, 0.0)
-        return stats.gamma.cdf(x, self.shape, scale=a / self.shape)
+        return gammainc(self.shape, np.maximum(x, 0.0) / (a / self.shape))
 
     def variance(self) -> float:
         if self.kind == EXPONENTIAL:
@@ -117,10 +116,16 @@ class PostingDistribution:
             p = 1.0 / (1.0 + la)
             out = p * np.exp(k * _log_ratio(la))
         elif self.kind == DETERMINISTIC:
-            out = stats.poisson.pmf(k, la)
+            out = np.exp(xlogy(k, la) - gammaln(k + 1) - la)
         else:
+            # C(k+m-1, m-1) p^m (1-p)^k with p = 1 / (1 + x), x = la / m;
+            # log(1 - p) = _log_ratio(x) keeps full accuracy where p is near 1.
+            # Past 1e308 the binomial overflows, and its log comes from gammaln.
             m = self.shape
-            out = stats.nbinom.pmf(k, m, m / (m + la))
+            x = la / m
+            log_c = np.log(binom(k + m - 1, m - 1))
+            log_c = np.where(np.isinf(log_c), gammaln(k + m) - gammaln(m) - gammaln(k + 1), log_c)
+            out = np.exp(log_c + k * _log_ratio(x) - m * math.log1p(x))
         return float(out) if out.ndim == 0 else out
 
     def psi_quadrature(self, lam: float, k: int) -> float:
@@ -134,6 +139,8 @@ class PostingDistribution:
             raise ValueError(f"lam must be positive, got {lam}")
         if k < 0:
             raise ValueError("k must be non-negative")
+        from scipy import integrate, stats  # oracle only; slow to import
+
         a = self.mean
 
         def poisson_weight(x):

@@ -47,6 +47,8 @@ class SimConfig:
     policy: str = CLIP
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_postings < 1:
             raise ValueError("num_postings must be >= 1")
         if not (0.0 <= self.warmup_fraction < 1.0):

@@ -1,12 +1,17 @@
 """Command-line interface: configs, overrides, formats, exit codes."""
 
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poolqueue
 from poolqueue import PostingDistribution, SystemParams, embedded_P, tpm_stationary_delta
-from poolqueue.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from poolqueue.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 BASE = [
     "--v", "2", "--w", "6", "--lambda", "1.0",
@@ -228,10 +233,16 @@ def test_compare_reports_both_policies(capsys):
     assert "breakdown" in doc["result"]["analytic"]
 
 
-def test_unknown_format_rejected(capsys):
+def test_unknown_format_rejected(capsys, tmp_path):
     # the format value is validated when it comes from a config file
     code, _, err = run(capsys, ["solve", *BASE, "--out", "-"])
     assert code == EXIT_OK
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"format": "xml"}}))
+    code, out, err = run(capsys, ["solve", *BASE, "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
 
 
 def test_sweep_bad_range_rejected(capsys):
@@ -262,3 +273,109 @@ def test_fractional_geometry_in_config_is_config_error(capsys, tmp_path, key, va
     code, _, err = run(capsys, ["solve", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert f"{key} must be a positive integer" in err
+
+
+# w=6, lambda=3, a=3: capability is 0.5, so enforce_capability read as true
+# excludes every batch size
+MISREAD_BASE = {
+    "params": {"w": 6, "lambda": 3, "posting": {"kind": "exponential", "mean": 3}},
+    "cost": {"ch": 1, "cr": 1, "cd": 1},
+}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("options", "vmax", 4.7),  # used to run v = 1..4
+    ("options", "vmax", "x"),  # used to escape as a ValueError traceback
+    ("cost", "ch", "abc"),  # likewise
+    ("options", "enforce_capability", "false"),  # bool("false") is true
+    ("params", "v", True),  # JSON true is not the integer 1
+])
+def test_bad_config_value_is_config_error(capsys, tmp_path, section, key, value):
+    config = json.loads(json.dumps(MISREAD_BASE))
+    config.setdefault(section, {})[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["optimize", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config" and key in error["message"]
+
+
+def test_negative_seed_is_config_error(capsys):
+    code, out, err = run(capsys, ["simulate", *BASE, "--seed", "-1", "--postings", "100"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
+def test_unwritable_out_is_config_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["solve", *BASE, "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "config"
+
+
+def test_flag_and_file_values_parse_alike(capsys, tmp_path):
+    # a flag and a config value go through the same parse function
+    argv = ["optimize", "--w", "6", "--lambda", "1", "--dist", "exponential", "--mean", "1"]
+    _, by_flag, _ = run(capsys, [*argv, "--vmax", "4", "--ch", "2"])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cost": {"ch": 2}, "options": {"vmax": 4.0}}))
+    _, by_file, _ = run(capsys, [*argv, "--config", str(cfg)])
+    assert by_flag == by_file
+
+
+ROUND_TRIP = {
+    "solve": ["solve", *BASE, "--method", "ladder"],
+    "optimize": ["optimize", *BASE[2:], "--ch", "3", "--cr", "1", "--cd", "80", "--vmax", "5"],
+    "sweep": ["sweep", *BASE[2:], "--dist", "erlang", "--shape", "2", "--cd", "5", "--vmin", "2", "--wmin", "4"],
+    "simulate": ["simulate", *BASE, "--ch", "1", "--seed", "3", "--postings", "2000", "--policy", "reject"],
+    "compare": ["compare", *BASE, "--cd", "4", "--seed", "3", "--postings", "2000", "--tol-tv", "0.2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_document_config_reproduces_its_run(capsys, tmp_path, command):
+    code, out, _ = run(capsys, ROUND_TRIP[command])
+    assert code == EXIT_OK
+    cfg = tmp_path / "doc-config.json"
+    cfg.write_text(json.dumps(json.loads(out)["config"]))
+    code2, out2, _ = run(capsys, [command, "--config", str(cfg)])
+    assert code2 == EXIT_OK
+    assert out2 == out
+
+
+COMMON_FLAGS = {
+    "--config", "--v", "--w", "--lambda", "--mean", "--dist", "--shape", "--ch", "--cr", "--cd",
+    "--vmax", "--seed", "--postings", "--warmup", "--policy", "--format", "--out", "--method",
+    "--enforce-capability",
+}
+
+
+def test_each_subcommand_offers_its_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert offered == {
+        "solve": COMMON_FLAGS,
+        "optimize": COMMON_FLAGS,
+        "sweep": COMMON_FLAGS | {"--vmin", "--wmin", "--wmax"},
+        "simulate": COMMON_FLAGS,
+        "compare": COMMON_FLAGS | {"--tol-tv", "--tol-cost"},
+    }
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    # scipy.stats and scipy.integrate cost more import time than the rest
+    # of the package; only the quadrature oracle needs them
+    src = str(Path(poolqueue.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import poolqueue.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -108,6 +108,34 @@ def test_psi_matches_quadrature(d, la):
         ), f"kernel mismatch at k={k}"
 
 
+@pytest.mark.parametrize("kind, shape", [("deterministic", 1), ("erlang", 1), ("erlang", 3), ("erlang", 20)])
+@pytest.mark.parametrize("la", [1e-6, 0.3, 2.86, 40.0])
+def test_psi_matches_extended_precision(kind, shape, la):
+    # the Poisson and negative-binomial pmfs written out in 40 digits; the
+    # Erlang closed form keeps its accuracy where p = m / (m + la) is near 1
+    mpmath = pytest.importorskip("mpmath")
+    d = PostingDistribution(kind, 1.0, shape=shape)
+    ks = np.unique(np.geomspace(1, 2001, 60).astype(int) - 1)
+    got = d.psi(la, ks)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(la)
+        if kind == "deterministic":
+            ref = [mpmath.exp(-x) * x**k / mpmath.factorial(k) for k in ks]
+        else:
+            ref = [mpmath.binomial(k + shape - 1, shape - 1) * (shape / (shape + x)) ** shape
+                   * (x / (shape + x)) ** k for k in ks]
+        ref = np.array([float(r) for r in ref])
+    kept = ref >= 1e-100
+    assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-12 * ref[kept])
+
+
+def test_erlang_psi_where_the_binomial_overflows():
+    # C(k+399, 399) passes 1e308 from k = 686 on; the row stays finite
+    row, tail = PostingDistribution("erlang", 1.0, shape=400).psi_row(300.0, 3000)
+    assert np.all(np.isfinite(row)) and row.min() >= 0.0
+    assert abs(row.sum() + tail - 1.0) < 1e-11
+
+
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: f"{d.kind}-{d.shape}")
 def test_psi_row_sums_to_one(d):
     lam = 2.2
