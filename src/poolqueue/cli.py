@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Callable
@@ -442,7 +443,9 @@ def _flag_options(parse) -> dict:
     return {"type": _FLAG_TYPES.get(parse)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="poolqueue",
         description="Analytic solver, optimizer and simulator for a bulk-posting contractor pool.",

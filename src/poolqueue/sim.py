@@ -18,9 +18,13 @@ of ``_BLOCK`` draws, and events are handled in segments of at most
 ``_BLOCK`` postings and ``_BLOCK`` arrivals, so memory is bounded by the
 block size, not by the run length.  Within a segment only the pool level
 before each posting takes a Python step; sojourns, losses and counts are
-array operations that add up in event order.  Every result is therefore
-bit-identical to the one-event-at-a-time loop kept as the reference oracle
-in ``tests/sim_reference.py``.
+array operations that add up in event order.  Each per-event array is built
+once, in place: a block's epochs are summed in the array they were drawn
+into, and a segment's levels and sojourns go into two buffers allocated once
+per run, behind ``w + 1`` lead slots that carry the running per-state totals
+into a single ``bincount``.  Every result is therefore bit-identical to the
+one-event-at-a-time loop kept as the reference oracle in
+``tests/sim_reference.py``.
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ class _Epochs:
         self.buf = np.empty(0)
 
     def refill(self) -> None:
-        epochs = np.cumsum(np.concatenate(([self._last], self._draw(_BLOCK))))[1:]
+        epochs = self._draw(_BLOCK)
+        # the running sum from the last epoch: the same additions, in place
+        epochs[0] += self._last
+        np.cumsum(epochs, out=epochs)
         self._last = epochs[-1]
         self.buf = epochs
 
@@ -138,6 +145,12 @@ def run_sim(params: SystemParams, cost: CostParams, config: SimConfig) -> SimRes
     t = 0.0  # epoch of the last processed event
     t_start = 0.0
     done = 0
+    # per-event levels and sojourns of a segment, after w + 1 lead slots that
+    # take the running totals just before its first counted event
+    lead = w + 1
+    levels = np.empty(lead + 2 * _BLOCK, dtype=np.intp)
+    sojourns = np.empty(lead + 2 * _BLOCK)
+    steps = np.arange(2 * _BLOCK)
 
     while done < num_postings:
         if arrivals.buf.size == 0:
@@ -163,30 +176,34 @@ def run_sim(params: SystemParams, cost: CostParams, config: SimConfig) -> SimRes
         local = warmup - done
         if local < k:
             from_event = from_post = from_interval = 0
-            sizes = counts + 1  # events per interval: arrivals, then its posting
-            sizes[k] -= 1
-            first = np.cumsum(sizes) - sizes
-            post_at = first[:k] + counts[:k]
+            post_at = before + steps[:k]
             if local >= 0:
                 t_start = seg_post[local]
                 from_event, from_post, from_interval = post_at[local] + 1, local, local + 1
-            # every event ends one sojourn at its interval's start level, less
-            # the arrivals already seen in that interval
-            interval = np.repeat(np.arange(k + 1), sizes)
-            seen = np.arange(n + k) - first[interval]
-            sojourn_level = np.maximum(start_level[interval] - seen, 0)
-            is_post = np.zeros(n + k, dtype=bool)
-            is_post[post_at] = True
-            times = np.empty(n + k)
+            end = lead + n + k
+            # every event e ends one sojourn at its interval's start level,
+            # less the arrivals already seen in that interval, e - first
+            sizes = counts + 1  # events per interval: arrivals, then its posting
+            sizes[k] -= 1
+            first = np.cumsum(sizes) - sizes
+            event_level = levels[lead:end]
+            np.subtract(np.repeat(start_level + first, sizes), steps[: n + k], out=event_level)
+            np.maximum(event_level, 0, out=event_level)
+            # event epochs, then the sojourn each event ends, from slot lo on
+            times = sojourns[lead:end]
+            is_arr = np.ones(n + k, dtype=bool)
+            is_arr[post_at] = False
             times[post_at] = seg_post
-            times[~is_post] = seg_arr
-            sojourn = np.diff(times, prepend=t)
-            # the running totals lead the weights, so each state's sum adds
-            # its sojourns in event order
+            times[is_arr] = seg_arr
+            sojourns[lead - 1] = t  # the epoch before the segment's first event
+            lo = lead + from_event
+            np.subtract(sojourns[lo:end], sojourns[lo - 1 : end - 1], out=sojourns[lo:end])
+            # the running totals lead the sojourns, so each state's sum adds
+            # them in event order
+            levels[from_event:lo] = ks
+            sojourns[from_event:lo] = occupancy
             occupancy = np.bincount(
-                np.concatenate((ks, sojourn_level[from_event:])),
-                weights=np.concatenate((occupancy, sojourn[from_event:])),
-                minlength=w + 1,
+                levels[from_event:end], weights=sojourns[from_event:end], minlength=w + 1
             )
             embedded += np.bincount(pre[from_post:], minlength=w + 1)
             lost += int(np.maximum(counts - start_level, 0)[from_interval:].sum())

@@ -379,3 +379,21 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     )
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_parser_built_once_parses_like_a_fresh_one(capsys):
+    argv = ["compare", *BASE, "--ch", "1", "--cr", "1", "--cd", "1", "--seed", "3", "--postings", "4000"]
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as bad:
+        main(["compare", *BASE, "--no-such-flag", "1"])
+    assert bad.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    src = str(Path(poolqueue.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from poolqueue.cli import main; sys.exit(main(sys.argv[2:]))", src, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert out == fresh.stdout

@@ -57,6 +57,18 @@ def test_matches_event_loop_on_grid(kind, policy, warmup, n):
     assert_bit_identical(run_sim(params, COST, config), run_sim_reference(params, COST, config))
 
 
+@pytest.mark.parametrize("warmup", [0.1, 0.6])
+@pytest.mark.parametrize("policy", [CLIP, REJECT])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_matches_event_loop_when_arrivals_empty_the_pool(kind, policy, warmup):
+    # v=1 of w=2 with lam*a=20: almost every interval holds more than w
+    # arrivals, so per-event levels clamp at 0; a segment spans about 3300
+    # postings, so warm-up ends inside one
+    params = SystemParams(v=1, w=2, lam=20.0, posting=FAMILIES[kind])
+    config = SimConfig(seed=29, num_postings=_BLOCK + 1, warmup_fraction=warmup, policy=policy)
+    assert_bit_identical(run_sim(params, COST, config), run_sim_reference(params, COST, config))
+
+
 @given(
     vw=st.integers(1, 12).flatmap(lambda w: st.tuples(st.integers(1, w), st.just(w))),
     lam=st.floats(0.05, 8.0),
