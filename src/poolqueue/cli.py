@@ -61,6 +61,10 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _tolerance(name: str, value) -> float:
+    return sim_mod.check_tolerance(name, _real(name, value))
+
+
 def _boolean(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -126,8 +130,8 @@ _SETTINGS = (
     _Setting(("options", "wmax"), _integer, "--wmax", command="sweep"),  # default: w
     _Setting(("options", "method"), _Choice((RENEWAL, LADDER)), "--method", default=RENEWAL),
     _Setting(("options", "enforce_capability"), _boolean, "--enforce-capability", default=False),
-    _Setting(("options", "tol_tv"), _real, "--tol-tv", command="compare", default=0.01),
-    _Setting(("options", "tol_cost"), _real, "--tol-cost", command="compare", default=0.05),
+    _Setting(("options", "tol_tv"), _tolerance, "--tol-tv", command="compare", default=0.01),
+    _Setting(("options", "tol_cost"), _tolerance, "--tol-cost", command="compare", default=0.05),
     _Setting(("options", "format"), _Choice(("json", "csv")), "--format", default="json"),
     _Setting(("options", "out"), _text, "--out", default="-"),
 )
@@ -432,7 +436,7 @@ def _cmd_compare(cfg: dict) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
-_FLAG_TYPES = {positive_int: int, _integer: int, _real: float}
+_FLAG_TYPES = {positive_int: int, _integer: int, _real: float, _tolerance: float}
 
 
 def _flag_options(parse) -> dict:

@@ -15,15 +15,21 @@ Two quantities drive every downstream computation:
 Closed forms exist for all three families (geometric, Poisson and negative
 binomial mixtures respectively); adaptive quadrature of the defining integral
 is kept as an independent cross-check oracle.
+
+The exponential family needs numpy alone.  ``scipy.special`` is imported the
+first time a deterministic or Erlang kernel (or an Erlang ``cdf``) is
+evaluated, through :func:`scipy_module`, so a process that only meets
+exponential postings never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, binom, gammainc, gammaln, pdtrc, xlogy
 
 EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
@@ -32,16 +38,31 @@ ERLANG = "erlang"
 _KINDS = (EXPONENTIAL, DETERMINISTIC, ERLANG)
 
 
-def positive_int(name: str, value) -> int:
-    """``value`` as an ``int`` when it is a whole number >= 1; ValueError
-    otherwise (also for booleans, non-numbers, NaN and infinities)."""
+@functools.cache
+def scipy_module(name: str):
+    """``scipy.<name>``, imported on the first call and bound for the rest of
+    the process; scipy takes several times longer to import than the rest of
+    the package."""
+    return importlib.import_module(f"scipy.{name}")
+
+
+def whole_number(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` when it is a whole number >= ``least``;
+    ValueError otherwise (also for booleans, non-numbers, NaN and
+    infinities)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
-    if isinstance(value, bool) or n != value or n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        n = None
+    if n is None or isinstance(value, bool) or n != value or n < least:
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return n
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` as an ``int`` when it is a whole number >= 1."""
+    return whole_number(name, value, 1)
 
 
 @dataclass(frozen=True)
@@ -88,7 +109,7 @@ class PostingDistribution:
             return np.where(x < 0, 0.0, -np.expm1(-x / a))
         if self.kind == DETERMINISTIC:
             return np.where(x >= a, 1.0, 0.0)
-        return gammainc(self.shape, np.maximum(x, 0.0) / (a / self.shape))
+        return scipy_module("special").gammainc(self.shape, np.maximum(x, 0.0) / (a / self.shape))
 
     def variance(self) -> float:
         if self.kind == EXPONENTIAL:
@@ -116,15 +137,17 @@ class PostingDistribution:
             p = 1.0 / (1.0 + la)
             out = p * np.exp(k * _log_ratio(la))
         elif self.kind == DETERMINISTIC:
-            out = np.exp(xlogy(k, la) - gammaln(k + 1) - la)
+            sp = scipy_module("special")
+            out = np.exp(sp.xlogy(k, la) - sp.gammaln(k + 1) - la)
         else:
             # C(k+m-1, m-1) p^m (1-p)^k with p = 1 / (1 + x), x = la / m;
             # log(1 - p) = _log_ratio(x) keeps full accuracy where p is near 1.
             # Past 1e308 the binomial overflows, and its log comes from gammaln.
+            sp = scipy_module("special")
             m = self.shape
             x = la / m
-            log_c = np.log(binom(k + m - 1, m - 1))
-            log_c = np.where(np.isinf(log_c), gammaln(k + m) - gammaln(m) - gammaln(k + 1), log_c)
+            log_c = np.log(sp.binom(k + m - 1, m - 1))
+            log_c = np.where(np.isinf(log_c), sp.gammaln(k + m) - sp.gammaln(m) - sp.gammaln(k + 1), log_c)
             out = np.exp(log_c + k * _log_ratio(x) - m * math.log1p(x))
         return float(out) if out.ndim == 0 else out
 
@@ -141,6 +164,7 @@ class PostingDistribution:
             raise ValueError("k must be non-negative")
         from scipy import integrate, stats  # oracle only; slow to import
 
+        gammaln = scipy_module("special").gammaln
         a = self.mean
 
         def poisson_weight(x):
@@ -195,10 +219,10 @@ class PostingDistribution:
         if self.kind == EXPONENTIAL:
             rest = np.exp(k * _log_ratio(la))
         elif self.kind == DETERMINISTIC:
-            rest = pdtrc(k - 1, la)
+            rest = scipy_module("special").pdtrc(k - 1, la)
         else:
             m = self.shape
-            rest = betainc(k, m, la / (m + la))
+            rest = scipy_module("special").betainc(k, m, la / (m + la))
         return np.concatenate(([1.0], rest))
 
     # -- sampling ----------------------------------------------------------

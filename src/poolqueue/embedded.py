@@ -19,6 +19,11 @@ state j only through the start level ``d = (j - v)^+`` of the next interval,
 so ``d`` is itself a Markov chain on 0..w-v (an exact lumping of states
 0..v).  :func:`start_level_P` solves that smaller chain; the full pre-posting
 law and the limiting distribution are both built from it.
+
+Only the truncate-and-renormalize route uses scipy: ``scipy.optimize`` for
+:func:`characteristic_root` and ``scipy.sparse`` for the truncated solve.
+Both are imported the first time that route runs, so the default route loads
+no scipy module for exponential postings.
 """
 
 from __future__ import annotations
@@ -29,11 +34,8 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
-from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
 
-from .dist import EXPONENTIAL, PostingDistribution, positive_int
+from .dist import EXPONENTIAL, PostingDistribution, positive_int, scipy_module
 from .errors import NoRootError, TruncationError
 
 # Stored entries allowed in one truncated level or geometric head; a level
@@ -229,7 +231,7 @@ def characteristic_root(v: int, lam: float, a: float) -> float:
         return (v - la) + v * _log1p_ratio(x) - la * _log1p_ratio(-t)
 
     # the root lies below 1 / (lam a), and f is -inf from there to the top
-    return 1.0 + brentq(f, 0.0, 2.0 / la, xtol=1e-300, maxiter=400)
+    return 1.0 + scipy_module("optimize").brentq(f, 0.0, 2.0 / la, xtol=1e-300, maxiter=400)
 
 
 def _level_system(psis: np.ndarray, v: int, n: int, band: int):
@@ -248,6 +250,7 @@ def _level_system(psis: np.ndarray, v: int, n: int, band: int):
     cols += np.repeat(d, length + 1)
     cols[indptr[1:] - 1] = n - 1
     vals[indptr[1:] - 1] = 1.0
+    sparse = scipy_module("sparse")
     AT = sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
     # -I off the last row; the difference drops exact zeros
     return (AT - sparse.diags(np.concatenate((np.ones(n - 1), [0.0])))).T.tocsr()
@@ -276,7 +279,7 @@ def _truncated_infinite_Q(params: SystemParams, eps: float) -> np.ndarray:
                                   f"{n * (band + 1)} entries pass the budget of {ENTRY_BUDGET}")
         b = np.zeros(n)
         b[n - 1] = 1.0
-        Q = spsolve(_level_system(psis, v, n, band), b)
+        Q = scipy_module("sparse.linalg").spsolve(_level_system(psis, v, n, band), b)
         tail = abs(Q[n - 1]) + max(0.0, 1.0 - float(Q[: n - 1].sum()))
         if prev_head is not None and tail < eps:
             if np.max(np.abs(Q[:head] - prev_head)) < eps:

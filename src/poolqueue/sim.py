@@ -29,11 +29,13 @@ one-event-at-a-time loop kept as the reference oracle in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostParams, ObjectiveBreakdown, state_cost_rates
+from .dist import positive_int, whole_number
 from .embedded import EmbeddedSolution, SystemParams
 from .limiting import LimitingDistribution
 
@@ -51,10 +53,10 @@ class SimConfig:
     policy: str = CLIP
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.num_postings < 1:
-            raise ValueError("num_postings must be >= 1")
+        # whole-number floats such as 1000.0 are stored as ints, which the
+        # block arithmetic and SeedSequence need
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        object.__setattr__(self, "num_postings", positive_int("num_postings", self.num_postings))
         if not (0.0 <= self.warmup_fraction < 1.0):
             raise ValueError("warmup_fraction must lie in [0, 1)")
         warmup = int(self.warmup_fraction * self.num_postings)
@@ -241,6 +243,14 @@ class ComparisonReport:
     passed: bool
 
 
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` when it is finite and > 0; ValueError otherwise.  A zero,
+    negative or NaN tolerance fails every comparison, whatever it measures."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
@@ -259,8 +269,11 @@ def compare(
 
     The embedded comparison mirrors the analytic pre-posting vector onto the
     pool side before measuring distance; it is skipped when no embedded
-    solution is given (the renewal route, or offered load >= 1).
+    solution is given (the renewal route, or offered load >= 1).  Both
+    tolerances must be finite and > 0.
     """
+    check_tolerance("tol_tv", tol_tv)
+    check_tolerance("tol_cost", tol_cost)
     pi1 = dist.pi1
     sim_pool = sim_result.time_avg_dist
     tv = total_variation(pi1, sim_pool)

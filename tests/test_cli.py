@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,7 @@ MISREAD_BASE = {
     ("cost", "ch", "abc"),  # likewise
     ("options", "enforce_capability", "false"),  # bool("false") is true
     ("params", "v", True),  # JSON true is not the integer 1
+    ("options", "tol_tv", 0),  # fails every comparison
 ])
 def test_bad_config_value_is_config_error(capsys, tmp_path, section, key, value):
     config = json.loads(json.dumps(MISREAD_BASE))
@@ -397,3 +399,93 @@ def test_parser_built_once_parses_like_a_fresh_one(capsys):
         capture_output=True, text=True, check=True,
     )
     assert out == fresh.stdout
+
+
+SRC = str(Path(poolqueue.__file__).resolve().parents[1])
+
+# run in a fresh interpreter: print the scipy modules loaded after importing
+# poolqueue, after importing poolqueue.cli, and after each command line
+# (JSON-encoded in argv) run through cli.main, with that run's exit code
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import poolqueue
+steps = [("import poolqueue", 0, loaded())]
+import poolqueue.cli
+steps.append(("import poolqueue.cli", 0, loaded()))
+for argv in map(json.loads, sys.argv[2:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = poolqueue.cli.main(argv)
+    steps.append((argv[0], code, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def scipy_probe(*argvs):
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, SRC, *map(json.dumps, argvs)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+EXP_INSTANCE = ["--w", "12", "--lambda", "2.2", "--dist", "exponential", "--mean", "1.3"]
+EXP_V3 = ["--v", "3", *EXP_INSTANCE]
+
+
+def test_exponential_runs_load_no_scipy():
+    # the exponential kernel and the renewal route need numpy alone; scipy
+    # would triple the start-up time of every such process
+    steps = scipy_probe(
+        ["solve", *EXP_V3],
+        ["optimize", *EXP_INSTANCE, "--ch", "3", "--cr", "1", "--cd", "80"],
+        ["sweep", *EXP_INSTANCE, "--cd", "5", "--vmax", "4", "--wmin", "10"],
+        ["simulate", *EXP_V3, "--seed", "3", "--postings", "2000"],
+        ["compare", *EXP_V3, "--cd", "4", "--seed", "3", "--postings", "2000", "--tol-tv", "0.2"],
+    )
+    assert [step[0] for step in steps] == [
+        "import poolqueue", "import poolqueue.cli", "solve", "optimize", "sweep", "simulate", "compare"
+    ]
+    assert all(code == EXIT_OK and modules == [] for _, code, modules in steps)
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["solve", "--v", "3", "--w", "12", "--lambda", "2.2", "--dist", "deterministic", "--mean", "1.3"],
+     "scipy.special"),
+    (["optimize", "--w", "12", "--lambda", "2.2", "--dist", "erlang", "--shape", "3", "--mean", "1.3",
+      "--cd", "80"], "scipy.special"),
+    (["solve", *EXP_V3, "--method", "ladder"], "scipy.optimize"),
+])
+def test_scipy_kernels_and_ladder_load_scipy_on_first_use(argv, module):
+    *imports, (_, code, modules) = scipy_probe(argv)
+    assert [step[2] for step in imports] == [[], []]
+    assert code == EXIT_OK
+    assert module in modules
+
+
+def test_python_m_poolqueue_runs_the_cli(capsys):
+    argv = ["compare", *BASE, "--cd", "4", "--seed", "3", "--postings", "2000"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "poolqueue", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_OK
+    assert done.stdout == out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-tv", "nan"), ("--tol-tv", "0"), ("--tol-tv", "inf"), ("--tol-cost", "-0.1"),
+])
+def test_meaningless_tolerance_is_config_error_before_any_solve(capsys, monkeypatch, flag, value):
+    # a zero, negative or NaN tolerance fails both policies whatever the
+    # simulation shows, and NaN is not valid JSON
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the configuration was checked")
+
+    monkeypatch.setattr(poolqueue.cli, "solve_instance", no_solve)
+    code, out, err = run(capsys, ["compare", *BASE, "--seed", "3", "--postings", "2000", flag, value])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config" and flag[2:].replace("-", "_") in error["message"]

@@ -36,6 +36,27 @@ def test_config_validation():
         SimConfig(seed=1, num_postings=10, policy="drop")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_postings", 1000.5), ("num_postings", True), ("num_postings", "1000"),
+    ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", float("nan")),
+])
+def test_config_rejects_non_integers(field, value):
+    # num_postings=1000.0 used to fail deep in run_sim, seed=1.5 in
+    # SeedSequence, and seed=True ran seed 1
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**({"seed": 1, "num_postings": 1000} | {field: value}))
+
+
+def test_config_stores_whole_floats_as_ints():
+    cfg = SimConfig(seed=7.0, num_postings=1000.0)
+    assert type(cfg.seed) is int and type(cfg.num_postings) is int
+    p = exp_params(2, 6, 1.5, 0.8)
+    a = run_sim(p, COST, cfg)
+    b = run_sim(p, COST, SimConfig(seed=7, num_postings=1000))
+    assert np.array_equal(a.time_avg_dist, b.time_avg_dist)
+    assert a.avg_cost_rate == b.avg_cost_rate
+
+
 def test_config_needs_two_counted_postings():
     # fewer than two counted postings leave no sojourn to average over
     for n, warmup in ((1, 0.0), (10, 0.95), (2, 0.6)):
@@ -176,3 +197,15 @@ def test_compare_flags_reject_policy_gap():
     report = compare(dist, bd, r, emb)
     assert report.tv_time_avg > 0.02
     assert not report.passed
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.1, float("nan"), float("inf")])
+def test_compare_rejects_meaningless_tolerances(tol):
+    p = exp_params(2, 6, 1.0, 1.0)
+    _, dist = solve_instance(p)
+    bd = objective(p, COST, dist)
+    r = run_sim(p, COST, SimConfig(seed=1, num_postings=1000))
+    with pytest.raises(ValueError, match="tol_tv"):
+        compare(dist, bd, r, tol_tv=tol)
+    with pytest.raises(ValueError, match="tol_cost"):
+        compare(dist, bd, r, tol_cost=tol)
