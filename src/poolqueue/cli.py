@@ -123,7 +123,7 @@ _SETTINGS = (
     _Setting(("sim", "seed"), _integer, "--seed", default=0),
     _Setting(("sim", "postings"), _integer, "--postings", default=100_000),
     _Setting(("sim", "warmup"), _real, "--warmup", default=0.1),
-    _Setting(("sim", "policy"), _Choice((sim_mod.CLIP, sim_mod.REJECT)), "--policy", default=sim_mod.CLIP),
+    _Setting(("sim", "policy"), _Choice((sim_mod.CLIP, sim_mod.REJECT)), "--policy", command="simulate", default=sim_mod.CLIP),
     _Setting(("options", "vmin"), _integer, "--vmin", command="sweep", default=1),
     _Setting(("options", "vmax"), _integer, "--vmax"),  # default: w
     _Setting(("options", "wmin"), _integer, "--wmin", command="sweep"),  # default: w

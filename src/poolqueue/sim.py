@@ -16,15 +16,18 @@ and the two streams are shared between policies for exact coupling.
 The simulation is vectorized blockwise.  Epochs are running sums of blocks
 of ``_BLOCK`` draws, and events are handled in segments of at most
 ``_BLOCK`` postings and ``_BLOCK`` arrivals, so memory is bounded by the
-block size, not by the run length.  Within a segment only the pool level
-before each posting takes a Python step; sojourns, losses and counts are
-array operations that add up in event order.  Each per-event array is built
-once, in place: a block's epochs are summed in the array they were drawn
-into, and a segment's levels and sojourns go into two buffers allocated once
-per run, behind ``w + 1`` lead slots that carry the running per-state totals
-into a single ``bincount``.  Every result is therefore bit-identical to the
-one-event-at-a-time loop kept as the reference oracle in
-``tests/sim_reference.py``.
+block size, not by the run length.  Within a segment, the pool level before
+each posting follows from the previous one.  Under clip that step is a clamp
+map, and clamp maps compose in closed form, so a segment's levels come from
+an O(k) scan in about log2(k) array passes.  Reject takes one Python step per
+posting; its maps do not compose in a closed family.  Sojourns, losses and
+counts are array operations that add up in event order.  Each per-event
+array is built once, in place: a block's epochs are summed in the array they
+were drawn into, and a segment's levels and sojourns go into two buffers
+allocated once per run, behind ``w + 1`` lead slots that carry the running
+per-state totals into a single ``bincount``.  Every result is therefore
+bit-identical to the one-event-at-a-time loop kept as the reference oracle
+in ``tests/sim_reference.py``.
 """
 
 from __future__ import annotations
@@ -106,7 +109,12 @@ class _Epochs:
 def _pre_posting_levels(z: int, counts: list[int], start_of: list[int]) -> list[int]:
     """Pool level just before each posting, from level z at the first
     interval's start and the arrivals in each interval: each level is
-    ``max(start_of[previous] - count, 0)``."""
+    ``max(start_of[previous] - count, 0)``.
+
+    ``run_sim`` uses this loop for reject only.  There a level's difference
+    from another path's changes mod v only when the pool empties, so paths
+    from different levels merge only at 0 and the steps do not compose in a
+    closed family; clip takes ``_clip_pre_posting_levels``."""
     if not counts:
         return []
     level = max(z - counts[0], 0)
@@ -116,12 +124,58 @@ def _pre_posting_levels(z: int, counts: list[int], start_of: list[int]) -> list[
     ]
 
 
+def _clamp_scan(x: int, shift: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``y[i] = clamp(y[i - 1] + shift[i], low[i], high[i])``, where the
+    level before ``y[0]`` is x.
+
+    Clamp maps compose in closed form: (A2, L2, U2) after (A1, L1, U1) is
+    (A1 + A2, clamp(L1 + A2, L2, U2), clamp(U1 + A2, L2, U2)).  So compose
+    adjacent pairs, scan the half-length sequence of pairs for the odd
+    positions, and fill the even ones with one clamp each: O(k) work in
+    about log2(k) array passes (Blelloch's work-efficient scan).  Integer
+    inputs give the loop's values exactly.
+    """
+    m = shift.size
+    if m < 2:
+        return np.minimum(np.maximum(x + shift, low), high)
+    h = m // 2
+    a2, l2, u2 = shift[1 : 2 * h : 2], low[1 : 2 * h : 2], high[1 : 2 * h : 2]
+    odd = _clamp_scan(
+        x,
+        shift[0 : 2 * h : 2] + a2,
+        np.minimum(np.maximum(low[0 : 2 * h : 2] + a2, l2), u2),
+        np.minimum(np.maximum(high[0 : 2 * h : 2] + a2, l2), u2),
+    )
+    y = np.empty(m, dtype=shift.dtype)
+    y[1::2] = odd
+    # each even position steps from the odd one before it, the first from x
+    y[0] = x
+    y[2::2] = odd[: (m - 1) // 2]
+    even = y[0::2]
+    np.add(even, shift[0::2], out=even)
+    np.maximum(even, low[0::2], out=even)
+    np.minimum(even, high[0::2], out=even)
+    return y
+
+
+def _clip_pre_posting_levels(z: int, counts: np.ndarray, v: int, w: int) -> np.ndarray:
+    """``_pre_posting_levels`` under clip, as a scan.  A posting followed by
+    c arrivals sends level x to ``clamp(x + v - c, 0, (w - c)+)``; the first
+    interval starts at z itself, so its map has no + v."""
+    counts = np.asarray(counts, dtype=np.intp)
+    shift = v - counts
+    if shift.size:
+        shift[0] -= v
+    return _clamp_scan(z, shift, np.zeros_like(shift), np.maximum(w - counts, 0))
+
+
 def run_sim(params: SystemParams, cost: CostParams, config: SimConfig) -> SimResult:
     """Run one seeded simulation and collect post-warmup statistics.
 
     Events are processed in segments of at most ``_BLOCK`` postings and
-    ``_BLOCK`` arrivals.  Only the pre-posting levels need a Python step per
-    posting; sojourns, losses and counts are whole-segment array operations.
+    ``_BLOCK`` arrivals.  Only reject's pre-posting levels need a Python step
+    per posting; clip's come from a scan, and sojourns, losses and counts are
+    whole-segment array operations.
     """
     v, w, lam = params.v, params.w, params.lam
     holding_rates, reserve_rates = state_cost_rates(params, cost)
@@ -171,7 +225,10 @@ def run_sim(params: SystemParams, cost: CostParams, config: SimConfig) -> SimRes
         # interval k holds the arrivals after the segment's last posting
         before = np.searchsorted(seg_arr, seg_post, "left")
         counts = np.diff(before, prepend=0, append=n)
-        pre = np.array(_pre_posting_levels(z, counts[:k].tolist(), start_of), dtype=np.intp)
+        if config.policy == CLIP:
+            pre = _clip_pre_posting_levels(z, counts[:k], v, w)
+        else:
+            pre = np.array(_pre_posting_levels(z, counts[:k].tolist(), start_of), dtype=np.intp)
         start_level = np.concatenate(([z], start[pre]))
 
         # statistics start with the events after posting number ``warmup``

@@ -350,7 +350,7 @@ def test_document_config_reproduces_its_run(capsys, tmp_path, command):
 
 COMMON_FLAGS = {
     "--config", "--v", "--w", "--lambda", "--mean", "--dist", "--shape", "--ch", "--cr", "--cd",
-    "--vmax", "--seed", "--postings", "--warmup", "--policy", "--format", "--out", "--method",
+    "--vmax", "--seed", "--postings", "--warmup", "--format", "--out", "--method",
     "--enforce-capability",
 }
 
@@ -366,9 +366,21 @@ def test_each_subcommand_offers_its_flags():
         "solve": COMMON_FLAGS,
         "optimize": COMMON_FLAGS,
         "sweep": COMMON_FLAGS | {"--vmin", "--wmin", "--wmax"},
-        "simulate": COMMON_FLAGS,
+        "simulate": COMMON_FLAGS | {"--policy"},
         "compare": COMMON_FLAGS | {"--tol-tv", "--tol-cost"},
     }
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "sweep", "compare"])
+def test_policy_flag_is_simulate_only(capsys, command):
+    # only simulate runs one policy; the others used to accept --policy and
+    # ignore it
+    with pytest.raises(SystemExit) as exited:
+        main([command, *BASE, "--ch", "1", "--cd", "1", "--postings", "2000", "--policy", "reject"])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--policy" in out.err
 
 
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():

@@ -2,7 +2,8 @@
 
 Every ``SimResult`` field must be bit-identical to ``sim_reference``, across
 posting families, admission policies, warmup fractions and posting counts on
-both sides of the draw-block boundary.
+both sides of the draw-block boundary.  The clip policy's pre-posting levels
+come from a clamp-map scan, also checked alone against the scalar recurrence.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poolqueue import CLIP, REJECT, CostParams, PostingDistribution, SimConfig, SystemParams, run_sim
-from poolqueue.sim import _BLOCK
+from poolqueue.sim import _BLOCK, _clip_pre_posting_levels
 from sim_reference import run_sim_reference
 
 COST = CostParams(c_h=1.0, c_r=0.5, c_d=2.0)
@@ -87,6 +88,51 @@ def test_matches_event_loop_property(vw, lam, a, kind, policy, warmup, seed, n):
     params = SystemParams(v=v, w=w, lam=lam, posting=posting)
     config = SimConfig(seed=seed, num_postings=n, warmup_fraction=warmup, policy=policy)
     assert_bit_identical(run_sim(params, COST, config), run_sim_reference(params, COST, config))
+
+
+@pytest.mark.parametrize("warmup", [0.1, 0.6])
+@pytest.mark.parametrize("policy", [CLIP, REJECT])
+@pytest.mark.parametrize("lam", [26.0, 104.0])
+def test_matches_event_loop_at_high_load(lam, policy, warmup):
+    # v=10 of w=120 with lam*a in {26, 104}: a posting is followed by 2.6 or
+    # 10.4 batches' worth of arrivals, so most of the maps the clip scan
+    # composes empty the pool; a segment spans about 2500 or 630 postings
+    params = SystemParams(v=10, w=120, lam=lam, posting=FAMILIES["exponential"])
+    config = SimConfig(seed=41, num_postings=2 * _BLOCK + 1, warmup_fraction=warmup, policy=policy)
+    assert_bit_identical(run_sim(params, COST, config), run_sim_reference(params, COST, config))
+
+
+def clip_levels_by_loop(z, counts, v, w):
+    """The clip recurrence, one posting at a time."""
+    levels = []
+    for i, c in enumerate(counts.tolist()):
+        z = max((z if i == 0 else min(z + v, w)) - c, 0)
+        levels.append(z)
+    return levels
+
+
+@st.composite
+def clip_segments(draw):
+    w = draw(st.integers(1, 5000))
+    v = draw(st.integers(1, w))
+    z = draw(st.integers(0, w))
+    k = draw(st.sampled_from([0, 1, 2, 33, 65, _BLOCK]) | st.integers(0, 300))
+    # each interval's mean arrivals is 0, about a batch, or above w, so the
+    # levels hit both bounds of the clamp and move in between
+    means = np.array([0.0, v / 2, v, 2.0 * v, w + 1.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(means.size))
+    counts = rng.poisson(rng.choice(means, k, p=weights))
+    return z, counts, v, w
+
+
+@given(segment=clip_segments())
+@settings(max_examples=60, deadline=None)
+def test_clip_scan_matches_loop_property(segment):
+    z, counts, v, w = segment
+    got = _clip_pre_posting_levels(z, counts, v, w)
+    assert got.dtype == np.intp
+    assert got.tolist() == clip_levels_by_loop(z, counts, v, w)
 
 
 def test_memory_does_not_grow_with_postings():
