@@ -5,9 +5,13 @@ Inputs come from a JSON config file and/or flags (flags win); every emitted
 document embeds the fully-resolved configuration, so a document is enough to
 reproduce its own run.  Output is JSON (default) or CSV, to stdout or a file.
 
-Every setting is one row of ``_SETTINGS``: its config key, its flag and the
-function that parses it.  Each value, from the file or from a flag, is parsed
-once before any solve, and a bad one is a configuration error (exit 2).
+Every setting is one row of ``_SETTINGS``: its config key, the function that
+parses it, its flag, the subcommands that read it, its default and its help.
+A subcommand offers the flags and accepts the config keys of exactly the
+settings it reads, and its document records exactly those but the output's
+format and file; a config key it does not read is a configuration error.
+Each value, from the file or from a flag, is parsed once before any solve,
+and a bad one is a configuration error (exit 2).
 
 Ladder fields (``kappa``, ``root``, ``truncation_level``, ``P``, ``g_vector``,
 ``tpm_stationary_max_delta``, ``tv_embedded``) are computed only with
@@ -92,16 +96,22 @@ class _Choice(tuple):
         return value
 
 
-_REQUIRED = object()  # the default of a setting that every subcommand needs
+_REQUIRED = object()  # the default of a setting that its subcommands need
+_POOL_SIZE = object()  # the default of a range bound: the pool capacity w
+
+_ALL = {"solve", "optimize", "sweep", "simulate", "compare"}
+_COSTED = _ALL - {"solve"}
+_SIMULATED = {"simulate", "compare"}
 
 
 @dataclasses.dataclass(frozen=True)
 class _Setting:
     path: tuple[str, ...]  # config section, key (and posting field)
     parse: Callable
-    flag: str | None = None  # None: config file only
-    command: str | None = None  # the one subcommand offering the flag; None: all
-    default: object = None  # None: absent unless given
+    flag: str | None  # None: config file only
+    commands: set[str]  # the subcommands that read it
+    default: object  # None: absent unless given
+    help: str
 
     @property
     def dest(self) -> str | None:
@@ -109,31 +119,56 @@ class _Setting:
 
 
 _SETTINGS = (
-    _Setting(("params", "v"), positive_int, "--v"),
-    _Setting(("params", "w"), positive_int, "--w", default=_REQUIRED),
-    _Setting(("params", "lambda"), _real, "--lambda", default=_REQUIRED),
-    _Setting(("params", "posting", "kind"), _Choice((EXPONENTIAL, DETERMINISTIC, ERLANG)), "--dist", default=_REQUIRED),
-    _Setting(("params", "posting", "mean"), _real, "--mean", default=_REQUIRED),
-    _Setting(("params", "posting", "shape"), positive_int, "--shape", default=1),
-    _Setting(("cost", "ch"), _real, "--ch", default=0.0),
-    _Setting(("cost", "cr"), _real, "--cr", default=0.0),
-    _Setting(("cost", "cd"), _real, "--cd", default=0.0),
-    _Setting(("cost", "holding_table"), _reals),
-    _Setting(("cost", "reserve_table"), _reals),
-    _Setting(("sim", "seed"), _integer, "--seed", default=0),
-    _Setting(("sim", "postings"), _integer, "--postings", default=100_000),
-    _Setting(("sim", "warmup"), _real, "--warmup", default=0.1),
-    _Setting(("sim", "policy"), _Choice((sim_mod.CLIP, sim_mod.REJECT)), "--policy", command="simulate", default=sim_mod.CLIP),
-    _Setting(("options", "vmin"), _integer, "--vmin", command="sweep", default=1),
-    _Setting(("options", "vmax"), _integer, "--vmax"),  # default: w
-    _Setting(("options", "wmin"), _integer, "--wmin", command="sweep"),  # default: w
-    _Setting(("options", "wmax"), _integer, "--wmax", command="sweep"),  # default: w
-    _Setting(("options", "method"), _Choice((RENEWAL, LADDER)), "--method", default=RENEWAL),
-    _Setting(("options", "enforce_capability"), _boolean, "--enforce-capability", default=False),
-    _Setting(("options", "tol_tv"), _tolerance, "--tol-tv", command="compare", default=0.01),
-    _Setting(("options", "tol_cost"), _tolerance, "--tol-cost", command="compare", default=0.05),
-    _Setting(("options", "format"), _Choice(("json", "csv")), "--format", default="json"),
-    _Setting(("options", "out"), _text, "--out", default="-"),
+    _Setting(("params", "v"), positive_int, "--v", {"solve", "simulate", "compare"}, _REQUIRED,
+             "batch size: contractors posted at a time (required)"),
+    _Setting(("params", "w"), positive_int, "--w", _ALL, _REQUIRED,
+             "pool capacity: the most contractors the pool holds (required)"),
+    _Setting(("params", "lambda"), _real, "--lambda", _ALL, _REQUIRED,
+             "customer arrival rate; each customer engages one contractor (required)"),
+    _Setting(("params", "posting", "kind"), _Choice((EXPONENTIAL, DETERMINISTIC, ERLANG)), "--dist", _ALL, _REQUIRED,
+             "law of the interval between postings (required)"),
+    _Setting(("params", "posting", "mean"), _real, "--mean", _ALL, _REQUIRED,
+             "mean interval a between postings (required)"),
+    _Setting(("params", "posting", "shape"), positive_int, "--shape", _ALL, 1,
+             "shape of an erlang posting interval (default 1)"),
+    _Setting(("cost", "ch"), _real, "--ch", _COSTED, 0.0,
+             "holding cost rate per contractor in the pool (default 0)"),
+    _Setting(("cost", "cr"), _real, "--cr", _COSTED, 0.0,
+             "reserve cost rate per contractor beyond the batch size (default 0)"),
+    _Setting(("cost", "cd"), _real, "--cd", _COSTED, 0.0,
+             "cost of one posting (default 0)"),
+    _Setting(("cost", "holding_table"), _reals, None, _COSTED, None,
+             "holding cost rate with k contractors in the pool, k = 0..w, in place of ch * k"),
+    _Setting(("cost", "reserve_table"), _reals, None, _COSTED, None,
+             "reserve cost rate with n contractors beyond the batch size, in place of cr * n"),
+    _Setting(("sim", "seed"), _integer, "--seed", _SIMULATED, 0,
+             "seed of the simulation's random draws (default 0)"),
+    _Setting(("sim", "postings"), _integer, "--postings", _SIMULATED, 100_000,
+             "postings to simulate (default 100000)"),
+    _Setting(("sim", "warmup"), _real, "--warmup", _SIMULATED, 0.1,
+             "fraction of the postings simulated before measuring starts (default 0.1)"),
+    _Setting(("sim", "policy"), _Choice((sim_mod.CLIP, sim_mod.REJECT)), "--policy", {"simulate"}, sim_mod.CLIP,
+             "a posting that would overfill the pool is clipped to fit, or rejected (default clip)"),
+    _Setting(("options", "vmin"), _integer, "--vmin", {"sweep"}, 1,
+             "smallest batch size of the grid (default 1)"),
+    _Setting(("options", "vmax"), _integer, "--vmax", {"optimize", "sweep"}, _POOL_SIZE,
+             "largest batch size searched (default w)"),
+    _Setting(("options", "wmin"), _integer, "--wmin", {"sweep"}, _POOL_SIZE,
+             "smallest pool capacity of the grid (default w)"),
+    _Setting(("options", "wmax"), _integer, "--wmax", {"sweep"}, _POOL_SIZE,
+             "largest pool capacity of the grid (default w)"),
+    _Setting(("options", "method"), _Choice((RENEWAL, LADDER)), "--method", _ALL - {"simulate"}, RENEWAL,
+             "route to the stationary law: renewal, or ladder through the embedded chain (default renewal)"),
+    _Setting(("options", "enforce_capability"), _boolean, "--enforce-capability", {"optimize"}, False,
+             "let no batch size win when the capability factor lambda*a/w - 1 is positive"),
+    _Setting(("options", "tol_tv"), _tolerance, "--tol-tv", {"compare"}, 0.01,
+             "largest total-variation distance, simulated to analytic law, that passes (default 0.01)"),
+    _Setting(("options", "tol_cost"), _tolerance, "--tol-cost", {"compare"}, 0.05,
+             "largest relative cost-rate error, simulated to analytic, that passes (default 0.05)"),
+    _Setting(("options", "format"), _Choice(("json", "csv")), "--format", _ALL, "json",
+             "output format (default json)"),
+    _Setting(("options", "out"), _text, "--out", _ALL, "-",
+             "output file, - for stdout (default -)"),
 )
 
 
@@ -149,32 +184,38 @@ def _tree(settings) -> dict:
     return tree
 
 
-_TREE = _tree(_SETTINGS)
+_TREES = {command: _tree(s for s in _SETTINGS if command in s.commands) for command in _ALL}
 
 
-def _resolve(config, flags: dict, node: dict = _TREE, where: tuple = ()) -> dict:
-    """Check ``config``'s keys against the settings, overlay the given
-    ``flags`` (by dest) and parse every value; fill in defaults."""
-    place = f"config section {'.'.join(where)!r}" if where else "config file"
-    if not isinstance(config, dict):
-        raise ConfigError(f"{place} must be a JSON object")
-    for key in config:
-        if key not in node:
-            raise ConfigError(f"unknown key {key!r} in {place}")
-    resolved = {}
-    for key, entry in node.items():
-        if isinstance(entry, dict):
-            resolved[key] = _resolve(config.get(key, {}), flags, entry, (*where, key))
-        elif entry.dest in flags or key in config:
-            value = flags[entry.dest] if entry.dest in flags else config[key]
-            try:
-                resolved[key] = entry.parse(key, value)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(str(exc)) from exc
-        elif entry.default is _REQUIRED:
-            raise ConfigError(f"missing required setting {key!r} in {place}")
-        elif entry.default is not None:
-            resolved[key] = entry.default
+def _resolve(command: str, config, flags: dict) -> dict:
+    """Check ``config``'s keys against the settings ``command`` reads, overlay
+    the given ``flags`` (by dest) and parse every value; fill in defaults."""
+    resolved: dict = {}
+
+    def section(config, node: dict, where: tuple, into: dict) -> None:
+        place = f"config section {'.'.join(where)!r}" if where else "config file"
+        if not isinstance(config, dict):
+            raise ConfigError(f"{place} must be a JSON object")
+        for key in config:
+            if key not in node:
+                raise ConfigError(f"{command} reads no key {key!r} in {place}")
+        for key, entry in node.items():
+            if isinstance(entry, dict):
+                section(config.get(key, {}), entry, (*where, key), into.setdefault(key, {}))
+            elif entry.dest in flags or key in config:
+                value = flags[entry.dest] if entry.dest in flags else config[key]
+                try:
+                    into[key] = entry.parse(key, value)
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(str(exc)) from exc
+            elif entry.default is _REQUIRED:
+                raise ConfigError(f"missing required setting {key!r} in {place}")
+            elif entry.default is _POOL_SIZE:
+                into[key] = resolved["params"]["w"]  # params precede options in the table
+            elif entry.default is not None:
+                into[key] = entry.default
+
+    section(config, _TREES[command], (), resolved)
     return resolved
 
 
@@ -203,8 +244,6 @@ def _pool(cfg: dict) -> tuple[int, float, PostingDistribution]:
 
 def _system(cfg: dict) -> SystemParams:
     """The instance of the commands that take one batch size ``v``."""
-    if "v" not in cfg["params"]:
-        raise ConfigError("missing required setting 'v' in config section 'params'")
     return _checked(SystemParams, cfg["params"]["v"], *_pool(cfg))
 
 
@@ -213,9 +252,9 @@ def _cost(cfg: dict) -> CostParams:
     return _checked(CostParams, c["ch"], c["cr"], c["cd"], c.get("holding_table"), c.get("reserve_table"))
 
 
-def _sim(cfg: dict) -> sim_mod.SimConfig:
+def _sim(cfg: dict, policy: str) -> sim_mod.SimConfig:
     s = cfg["sim"]
-    return _checked(sim_mod.SimConfig, s["seed"], s["postings"], s["warmup"], s["policy"])
+    return _checked(sim_mod.SimConfig, s["seed"], s["postings"], s["warmup"], policy)
 
 
 # -- output ----------------------------------------------------------------
@@ -234,25 +273,28 @@ def _records(**columns) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def _emit(document: dict, cfg: dict, records: list[dict]) -> None:
-    """Write ``document`` as JSON, or ``records`` projected onto the
+def _emit(command: str, cfg: dict, result: dict, records: list[dict]) -> None:
+    """Write the document (the settings ``command`` read, but for where the
+    output goes, and ``result``) as JSON, or ``records`` projected onto the
     command's CSV header."""
-    opts = cfg["options"]
-    if opts["format"] == "json":
-        text = json.dumps(document, indent=2, default=_jsonable) + "\n"
+    options = dict(cfg["options"])
+    fmt, out = options.pop("format"), options.pop("out")
+    config = {section: values for section, values in (cfg | {"options": options}).items() if values}
+    if fmt == "json":
+        text = json.dumps({"command": command, "config": config, "result": result}, indent=2, default=_jsonable) + "\n"
     else:
-        header = _CSV_HEADERS[document["command"]]
-        lines = ["# config: " + json.dumps(document["config"]), ",".join(header)]
+        header = _CSV_HEADERS[command]
+        lines = ["# config: " + json.dumps(config), ",".join(header)]
         lines += [",".join(_csv_field(record[h]) for h in header) for record in records]
         text = "\n".join(lines) + "\n"
-    if opts["out"] == "-":
+    if out == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {opts['out']}: {exc}") from exc
+        raise ConfigError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _jsonable(x):
@@ -299,15 +341,9 @@ def _cmd_solve(cfg: dict) -> int:
         "capability": capability(params.lam, params.a, params.w),
         "tpm_stationary_max_delta": tpm_stationary_delta(params, emb) if emb else None,
     }
-    document = {"command": "solve", "config": {"params": cfg["params"], "options": {"method": method}}, "result": result}
     levels = range(params.w + 1)
-    _emit(document, cfg, _records(k=levels, P=result["P"] or [None] * len(levels), pi=result["pi"], pi1=result["pi1"]))
+    _emit("solve", cfg, result, _records(k=levels, P=result["P"] or [None] * len(levels), pi=result["pi"], pi1=result["pi1"]))
     return EXIT_OK if dist.valid else EXIT_INVALID
-
-
-def _pool_config(cfg: dict) -> dict:
-    """The ``params`` record of the commands that range over v."""
-    return {key: value for key, value in cfg["params"].items() if key != "v"}
 
 
 def _cmd_optimize(cfg: dict) -> int:
@@ -315,27 +351,13 @@ def _cmd_optimize(cfg: dict) -> int:
     cost = _cost(cfg)
     opts = cfg["options"]
     method, enforce = opts["method"], opts["enforce_capability"]
-    v_max = opts.get("vmax", w)
-    res = _checked(optimize_v, w, lam, posting, cost, v_max, method=method, enforce_capability=enforce)
+    res = _checked(optimize_v, w, lam, posting, cost, opts["vmax"], method=method, enforce_capability=enforce)
     rho = capability(lam, posting.mean, w)
     curve = [
         {"v": v} | dataclasses.asdict(bd) | {"capability": rho} for v, bd in res.curve
     ]
-    document = {
-        "command": "optimize",
-        "config": {
-            "params": _pool_config(cfg),
-            "cost": cfg["cost"],
-            "options": {"vmax": v_max, "method": method, "enforce_capability": enforce},
-        },
-        "result": {
-            "v0": res.v0,
-            "phi_min": res.phi_min,
-            "any_invalid": res.any_invalid,
-            "curve": curve,
-        },
-    }
-    _emit(document, cfg, curve)
+    result = {"v0": res.v0, "phi_min": res.phi_min, "any_invalid": res.any_invalid, "curve": curve}
+    _emit("optimize", cfg, result, curve)
     return EXIT_OK if not res.any_invalid else EXIT_INVALID
 
 
@@ -346,24 +368,17 @@ def _cmd_sweep(cfg: dict) -> int:
     w, lam, posting = _pool(cfg)
     cost = _cost(cfg)
     opts = cfg["options"]
-    method = opts["method"]
-    ranges = {"vmin": opts["vmin"], "vmax": opts.get("vmax", w), "wmin": opts.get("wmin", w), "wmax": opts.get("wmax", w)}
-    vmin, vmax, wmin, wmax = ranges.values()
+    vmin, vmax, wmin, wmax = (opts[key] for key in ("vmin", "vmax", "wmin", "wmax"))
     if vmin < 1 or vmin > vmax or wmin < 1 or wmin > wmax:
         raise ConfigError("sweep ranges must satisfy 1 <= vmin <= vmax and 1 <= wmin <= wmax")
     cells = [
         {"v": cell.v, "w": cell.w, "feasible": cell.feasible}
         | dataclasses.asdict(cell.breakdown or _INFEASIBLE)
         | {"capability": cell.capability}
-        for cell in _checked(sweep, lam, posting, cost, range(vmin, vmax + 1), range(wmin, wmax + 1), method=method)
+        for cell in _checked(sweep, lam, posting, cost, range(vmin, vmax + 1), range(wmin, wmax + 1), method=opts["method"])
     ]
     any_invalid = any(cell["feasible"] and not cell["valid"] for cell in cells)
-    document = {
-        "command": "sweep",
-        "config": {"params": _pool_config(cfg), "cost": cfg["cost"], "options": ranges | {"method": method}},
-        "result": {"cells": cells, "any_invalid": any_invalid},
-    }
-    _emit(document, cfg, cells)
+    _emit("sweep", cfg, {"cells": cells, "any_invalid": any_invalid}, cells)
     return EXIT_OK if not any_invalid else EXIT_INVALID
 
 
@@ -380,28 +395,23 @@ def _sim_result_dict(result: sim_mod.SimResult) -> dict:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    params, cost, config = _system(cfg), _cost(cfg), _sim(cfg)
+    params, cost, config = _system(cfg), _cost(cfg), _sim(cfg, cfg["sim"]["policy"])
     result = _sim_result_dict(sim_mod.run_sim(params, cost, config))
-    document = {
-        "command": "simulate",
-        "config": {"params": cfg["params"], "cost": cfg["cost"], "sim": cfg["sim"]},
-        "result": result,
-    }
     levels = range(params.w + 1)
-    _emit(document, cfg, _records(k=levels, time_avg=result["time_avg_dist"], embedded=result["embedded_dist"]))
+    _emit("simulate", cfg, result, _records(k=levels, time_avg=result["time_avg_dist"], embedded=result["embedded_dist"]))
     return EXIT_OK
 
 
 def _cmd_compare(cfg: dict) -> int:
-    params, cost, config = _system(cfg), _cost(cfg), _sim(cfg)
+    params, cost = _system(cfg), _cost(cfg)
+    configs = {policy: _sim(cfg, policy) for policy in (sim_mod.CLIP, sim_mod.REJECT)}
     opts = cfg["options"]
     method, tol_tv, tol_cost = opts["method"], opts["tol_tv"], opts["tol_cost"]
     emb, dist = solve_instance(params, method=method)
     bd = objective(params, cost, dist)
     reports = {}
-    for policy in (sim_mod.CLIP, sim_mod.REJECT):
-        run_config = dataclasses.replace(config, policy=policy)
-        result = sim_mod.run_sim(params, cost, run_config)
+    for policy, config in configs.items():
+        result = sim_mod.run_sim(params, cost, config)
         report = sim_mod.compare(dist, bd, result, emb, tol_tv=tol_tv, tol_cost=tol_cost)
         reports[policy] = {
             "tv_time_avg": report.tv_time_avg,
@@ -412,25 +422,9 @@ def _cmd_compare(cfg: dict) -> int:
             "passed": report.passed,
             "sim": _sim_result_dict(result),
         }
-    document = {
-        "command": "compare",
-        "config": {
-            "params": cfg["params"],
-            "cost": cfg["cost"],
-            "sim": cfg["sim"],
-            "options": {"method": method, "tol_tv": tol_tv, "tol_cost": tol_cost},
-        },
-        "result": {
-            "analytic": {
-                "method": method,
-                "pi1": _listify(dist.pi1),
-                "valid": dist.valid,
-                "breakdown": dataclasses.asdict(bd),
-            },
-            "policies": reports,
-        },
-    }
-    _emit(document, cfg, [{"policy": policy} | report for policy, report in reports.items()])
+    analytic = {"method": method, "pi1": _listify(dist.pi1), "valid": dist.valid, "breakdown": dataclasses.asdict(bd)}
+    records = [{"policy": policy} | report for policy, report in reports.items()]
+    _emit("compare", cfg, {"analytic": analytic, "policies": reports}, records)
     return EXIT_OK if dist.valid else EXIT_INVALID
 
 
@@ -463,12 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compare": _cmd_compare,
     }
     for name, handler in commands.items():
-        p = sub.add_parser(name)
+        # no abbreviations: optimize would read --v, a flag it does not offer, as --vmax
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for setting in _SETTINGS:
-            if setting.flag and setting.command in (None, name):
-                p.add_argument(setting.flag, **_flag_options(setting.parse))
+            if setting.flag and name in setting.commands:
+                p.add_argument(setting.flag, help=setting.help, **_flag_options(setting.parse))
     return parser
 
 
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     flags = {dest: value for dest, value in vars(args).items() if value is not None}
     try:
-        return args.handler(_resolve(_load_config(args.config), flags))
+        return args.handler(_resolve(args.command, _load_config(args.config), flags))
     except ConfigError as exc:
         print(json.dumps({"error": {"kind": "config", "message": str(exc)}}), file=sys.stderr)
         return EXIT_CONFIG

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -257,7 +258,7 @@ def test_sweep_bad_range_rejected(capsys):
 
 @pytest.mark.parametrize("flag, value", [("--ch", "nan"), ("--mean", "inf"), ("--lambda", "nan")])
 def test_non_finite_input_is_config_error(capsys, flag, value):
-    argv = ["optimize", *BASE, "--ch", "3", "--cr", "1", "--cd", "80"]
+    argv = ["optimize", *BASE[2:], "--ch", "3", "--cr", "1", "--cd", "80"]
     argv[argv.index(flag) + 1] = value
     code, _, err = run(capsys, argv)
     assert code == EXIT_CONFIG
@@ -278,9 +279,14 @@ def test_fractional_geometry_in_config_is_config_error(capsys, tmp_path, key, va
 
 # w=6, lambda=3, a=3: capability is 0.5, so enforce_capability read as true
 # excludes every batch size
+MISREAD_PARAMS = {"w": 6, "lambda": 3, "posting": {"kind": "exponential", "mean": 3}}
+MISREAD_COST = {"ch": 1, "cr": 1, "cd": 1}
+# each case runs on a subcommand that reads its key, from a file of keys that
+# subcommand reads, so that the key's own value parser rejects it
 MISREAD_BASE = {
-    "params": {"w": 6, "lambda": 3, "posting": {"kind": "exponential", "mean": 3}},
-    "cost": {"ch": 1, "cr": 1, "cd": 1},
+    "optimize": {"params": MISREAD_PARAMS, "cost": MISREAD_COST},
+    "solve": {"params": MISREAD_PARAMS | {"v": 2}},
+    "compare": {"params": MISREAD_PARAMS | {"v": 2}, "cost": MISREAD_COST},
 }
 
 
@@ -293,15 +299,16 @@ MISREAD_BASE = {
     ("options", "tol_tv", 0),  # fails every comparison
 ])
 def test_bad_config_value_is_config_error(capsys, tmp_path, section, key, value):
-    config = json.loads(json.dumps(MISREAD_BASE))
+    command = {"v": "solve", "tol_tv": "compare"}.get(key, "optimize")
+    config = json.loads(json.dumps(MISREAD_BASE[command]))
     config.setdefault(section, {})[key] = value
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, ["optimize", "--config", str(cfg)])
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert out == ""
     error = json.loads(err)["error"]
-    assert error["kind"] == "config" and key in error["message"]
+    assert error["kind"] == "config" and f"{key} must be" in error["message"]
 
 
 def test_negative_seed_is_config_error(capsys):
@@ -348,39 +355,130 @@ def test_document_config_reproduces_its_run(capsys, tmp_path, command):
     assert out2 == out
 
 
-COMMON_FLAGS = {
-    "--config", "--v", "--w", "--lambda", "--mean", "--dist", "--shape", "--ch", "--cr", "--cd",
-    "--vmax", "--seed", "--postings", "--warmup", "--format", "--out", "--method",
-    "--enforce-capability",
+POOL_FLAGS = {"--w", "--lambda", "--dist", "--mean", "--shape"}
+COST_FLAGS = {"--ch", "--cr", "--cd"}
+OUTPUT_FLAGS = {"--format", "--out"}
+SIM_FLAGS = {"--seed", "--postings", "--warmup"}
+# the flags of the settings each subcommand reads
+READS = {
+    "solve": POOL_FLAGS | OUTPUT_FLAGS | {"--v", "--method"},
+    "optimize": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | {"--method", "--vmax", "--enforce-capability"},
+    "sweep": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | {"--vmin", "--vmax", "--wmin", "--wmax", "--method"},
+    "simulate": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | SIM_FLAGS | {"--v", "--policy"},
+    "compare": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | SIM_FLAGS | {"--v", "--method", "--tol-tv", "--tol-cost"},
+}
+
+# every setting: flag -> (config path, a value other than the default as the
+# flag's arguments, that value as parsed); the cost tables have no flag and
+# are read with the cost flags
+SETTINGS = {
+    "--v": (("params", "v"), ["1"], 1),
+    "--w": (("params", "w"), ["7"], 7),
+    "--lambda": (("params", "lambda"), ["0.7"], 0.7),
+    "--dist": (("params", "posting", "kind"), ["erlang"], "erlang"),
+    "--mean": (("params", "posting", "mean"), ["0.8"], 0.8),
+    "--shape": (("params", "posting", "shape"), ["2"], 2),
+    "--ch": (("cost", "ch"), ["2"], 2.0),
+    "--cr": (("cost", "cr"), ["2"], 2.0),
+    "--cd": (("cost", "cd"), ["2"], 2.0),
+    "holding_table": (("cost", "holding_table"), None, [1.0] * 7),
+    "reserve_table": (("cost", "reserve_table"), None, [1.0] * 7),
+    "--seed": (("sim", "seed"), ["4"], 4),
+    "--postings": (("sim", "postings"), ["3000"], 3000),
+    "--warmup": (("sim", "warmup"), ["0.2"], 0.2),
+    "--policy": (("sim", "policy"), ["reject"], "reject"),
+    "--vmin": (("options", "vmin"), ["2"], 2),
+    "--vmax": (("options", "vmax"), ["3"], 3),
+    "--wmin": (("options", "wmin"), ["5"], 5),
+    "--wmax": (("options", "wmax"), ["7"], 7),
+    "--method": (("options", "method"), ["ladder"], "ladder"),
+    "--enforce-capability": (("options", "enforce_capability"), [], True),
+    "--tol-tv": (("options", "tol_tv"), ["0.3"], 0.3),
+    "--tol-cost": (("options", "tol_cost"), ["0.3"], 0.3),
+    "--format": (("options", "format"), ["csv"], "csv"),
+    "--out": (("options", "out"), ["doc.out"], "doc.out"),
 }
 
 
-def test_each_subcommand_offers_its_flags():
+def reads(command, setting):
+    return (setting if setting.startswith("--") else "--ch") in READS[command]
+
+
+def subparsers():
     parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_offers_its_flags():
+    # each subcommand offers the flags it reads; all five used to offer
+    # --v, the cost, sim and output flags, --vmax, --method and
+    # --enforce-capability, and most ignored some of them
     offered = {
         name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
-        for name, p in sub.choices.items()
+        for name, p in subparsers().items()
     }
-    assert offered == {
-        "solve": COMMON_FLAGS,
-        "optimize": COMMON_FLAGS,
-        "sweep": COMMON_FLAGS | {"--vmin", "--wmin", "--wmax"},
-        "simulate": COMMON_FLAGS | {"--policy"},
-        "compare": COMMON_FLAGS | {"--tol-tv", "--tol-cost"},
-    }
+    assert offered == {name: flags | {"--config"} for name, flags in READS.items()}
+    assert sum(map(len, READS.values())) == 69
+    assert sum(reads(name, setting) for name in READS for setting in SETTINGS) == 77
 
 
-@pytest.mark.parametrize("command", ["solve", "optimize", "sweep", "compare"])
-def test_policy_flag_is_simulate_only(capsys, command):
-    # only simulate runs one policy; the others used to accept --policy and
-    # ignore it
-    with pytest.raises(SystemExit) as exited:
-        main([command, *BASE, "--ch", "1", "--cd", "1", "--postings", "2000", "--policy", "reject"])
-    assert exited.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "--policy" in out.err
+def test_every_offered_flag_has_help():
+    for p in subparsers().values():
+        assert all(action.help for action in p._actions)
+
+
+INSTANCE = ["--w", "6", "--lambda", "0.5", "--dist", "exponential", "--mean", "1.0"]
+RUNS = {
+    "solve": ["solve", "--v", "2", *INSTANCE],
+    "optimize": ["optimize", *INSTANCE, "--cd", "5"],
+    "sweep": ["sweep", *INSTANCE, "--cd", "5"],
+    "simulate": ["simulate", "--v", "2", *INSTANCE, "--postings", "2000"],
+    "compare": ["compare", "--v", "2", *INSTANCE, "--postings", "2000"],
+}
+
+
+UNREAD = [(name, setting) for name in READS for setting in SETTINGS if not reads(name, setting)]
+
+
+@pytest.mark.parametrize("command, setting", UNREAD, ids=[f"{c}-{'.'.join(SETTINGS[s][0])}" for c, s in UNREAD])
+def test_unread_setting_is_rejected(capsys, tmp_path, command, setting):
+    # optimize with {"sim": {"policy": "reject"}} in its config file used to
+    # return the clip optimum and leave the key out of its document
+    path, args, value = SETTINGS[setting]
+    if args is not None:
+        with pytest.raises(SystemExit) as exited:
+            main([command, setting, *args])
+        assert exited.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and setting in out.err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({path[0]: {path[1]: value}}))
+    code, out, err = run(capsys, [*RUNS[command], "--config", str(cfg)])
+    assert code == EXIT_CONFIG and out == ""
+    error = json.loads(err)["error"]
+    # a section the subcommand reads nothing of is named in place of its key
+    read_sections = {SETTINGS[s][0][0] for s in SETTINGS if reads(command, s)}
+    named = path[1] if path[0] in read_sections else path[0]
+    assert error["kind"] == "config" and command in error["message"] and repr(named) in error["message"]
+
+
+@pytest.mark.parametrize("command, flag", [(name, flag) for name in READS for flag in sorted(READS[name])])
+def test_every_offered_flag_reaches_the_document(capsys, tmp_path, monkeypatch, command, flag):
+    # a flag set to another value than the default shows in the document's
+    # config block, or, for the output's format and file, in the output
+    monkeypatch.chdir(tmp_path)
+    path, args, value = SETTINGS[flag]
+    code, out, _ = run(capsys, [*RUNS[command], flag, *args])
+    assert code == EXIT_OK
+    if flag == "--format":
+        assert out.startswith("# config: {")
+    elif flag == "--out":
+        assert out == "" and json.loads(Path(value).read_text())["command"] == command
+    else:
+        config = json.loads(out)["config"]
+        for key in path:
+            config = config[key]
+        assert config == value
 
 
 def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
@@ -484,6 +582,23 @@ def test_python_m_poolqueue_runs_the_cli(capsys):
     done = subprocess.run([sys.executable, "-m", "poolqueue", *argv], capture_output=True, text=True, env=env)
     assert done.returncode == EXIT_OK
     assert done.stdout == out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in README.read_text(encoding="utf-8").replace("\\\n", " ").splitlines()
+    if line.startswith("poolqueue ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_examples_run(capsys, argv):
+    # the examples must keep to the flags each subcommand offers
+    if "--postings" in argv:
+        argv = [*argv, "--postings", "2000"]
+    code, _, _ = run(capsys, argv)
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("flag, value", [

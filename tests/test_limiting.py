@@ -260,6 +260,39 @@ def test_admission_P_lumps_onto_start_levels():
     assert np.allclose(pre @ admission_tpm(p), pre, rtol=0, atol=1e-15)
 
 
+# -- route-independent identities ------------------------------------------
+
+FAMILIES = (
+    PostingDistribution("exponential", 1.3),
+    PostingDistribution("deterministic", 1.3),
+    PostingDistribution("erlang", 1.3, shape=3),
+)
+
+
+@pytest.mark.parametrize("posting", FAMILIES, ids=lambda posting: posting.kind)
+@pytest.mark.parametrize("lam", [0.3, 2.2, 9.0])
+@pytest.mark.parametrize("w", [1, 5, 35])
+def test_level_crossing_balances_every_cut(posting, lam, w):
+    # across the cut between pool sizes k and k+1 customers take the pool
+    # down at rate lam * pi1[k+1]; a posting that finds the pool at j raises
+    # it across the cut when k+1-v <= j <= k, and postings come at rate 1/a
+    # with pre-posting law phat
+    k = np.arange(w)
+    for v in range(1, w + 1):
+        p = SystemParams(v=v, w=w, lam=lam, posting=posting)
+        below = np.concatenate([[0.0], np.cumsum(admission_P(p)[::-1])])  # P(j < i) at i
+        up = (below[k + 1] - below[np.maximum(k + 1 - v, 0)]) / posting.mean
+        assert np.max(np.abs(lam * limiting_pi(p).pi1[1:] - up)) < 1e-13
+
+
+def test_erlang_of_shape_one_is_exponential():
+    exponential, erlang = (
+        SystemParams(v=3, w=35, lam=2.2, posting=PostingDistribution(kind, 1.3, shape=1))
+        for kind in ("exponential", "erlang")
+    )
+    assert np.max(np.abs(limiting_pi(erlang).pi1 - limiting_pi(exponential).pi1)) < 1e-15
+
+
 def test_tiny_load_gives_a_full_pool():
     # lam * a = 1.3e-300: the exponential kernel used to read psi_0 = 0 * -inf
     # = nan, and the law came back nan yet valid
