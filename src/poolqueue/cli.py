@@ -69,12 +69,6 @@ def _tolerance(name: str, value) -> float:
     return sim_mod.check_tolerance(name, _real(name, value))
 
 
-def _boolean(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 def _text(name: str, value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
@@ -159,8 +153,6 @@ _SETTINGS = (
              "largest pool capacity of the grid (default w)"),
     _Setting(("options", "method"), _Choice((RENEWAL, LADDER)), "--method", _ALL - {"simulate"}, RENEWAL,
              "route to the stationary law: renewal, or ladder through the embedded chain (default renewal)"),
-    _Setting(("options", "enforce_capability"), _boolean, "--enforce-capability", {"optimize"}, False,
-             "let no batch size win when the capability factor lambda*a/w - 1 is positive"),
     _Setting(("options", "tol_tv"), _tolerance, "--tol-tv", {"compare"}, 0.01,
              "largest total-variation distance, simulated to analytic law, that passes (default 0.01)"),
     _Setting(("options", "tol_cost"), _tolerance, "--tol-cost", {"compare"}, 0.05,
@@ -239,7 +231,11 @@ def _checked(build, *args, **kwargs):
 
 def _pool(cfg: dict) -> tuple[int, float, PostingDistribution]:
     p = cfg["params"]
-    return p["w"], p["lambda"], _checked(PostingDistribution, **p["posting"])
+    posting = p["posting"]
+    # PostingDistribution ignores the shape of the other kinds
+    if posting["shape"] != 1 and posting["kind"] != ERLANG:
+        raise ConfigError(f"shape={posting['shape']} applies to erlang postings only, not {posting['kind']}")
+    return p["w"], p["lambda"], _checked(PostingDistribution, **posting)
 
 
 def _system(cfg: dict) -> SystemParams:
@@ -350,8 +346,7 @@ def _cmd_optimize(cfg: dict) -> int:
     w, lam, posting = _pool(cfg)
     cost = _cost(cfg)
     opts = cfg["options"]
-    method, enforce = opts["method"], opts["enforce_capability"]
-    res = _checked(optimize_v, w, lam, posting, cost, opts["vmax"], method=method, enforce_capability=enforce)
+    res = _checked(optimize_v, w, lam, posting, cost, opts["vmax"], method=opts["method"])
     rho = capability(lam, posting.mean, w)
     curve = [
         {"v": v} | dataclasses.asdict(bd) | {"capability": rho} for v, bd in res.curve
@@ -407,12 +402,12 @@ def _cmd_compare(cfg: dict) -> int:
     configs = {policy: _sim(cfg, policy) for policy in (sim_mod.CLIP, sim_mod.REJECT)}
     opts = cfg["options"]
     method, tol_tv, tol_cost = opts["method"], opts["tol_tv"], opts["tol_cost"]
-    emb, dist = solve_instance(params, method=method)
+    _, dist = solve_instance(params, method=method)
     bd = objective(params, cost, dist)
     reports = {}
     for policy, config in configs.items():
         result = sim_mod.run_sim(params, cost, config)
-        report = sim_mod.compare(dist, bd, result, emb, tol_tv=tol_tv, tol_cost=tol_cost)
+        report = sim_mod.compare(dist, bd, result, tol_tv=tol_tv, tol_cost=tol_cost)
         reports[policy] = {
             "tv_time_avg": report.tv_time_avg,
             "max_abs_delta": report.max_abs_delta,
@@ -434,8 +429,6 @@ _FLAG_TYPES = {positive_int: int, _integer: int, _real: float, _tolerance: float
 
 
 def _flag_options(parse) -> dict:
-    if parse is _boolean:
-        return {"action": "store_true", "default": None}
     if isinstance(parse, _Choice):
         return {"choices": parse}
     return {"type": _FLAG_TYPES.get(parse)}

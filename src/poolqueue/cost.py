@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import PostingDistribution
-from .embedded import EmbeddedSolution, SystemParams, embedded_P
+# embedded_P is not called here; bench/tests/test_bench.py checks that the
+# benchmark's tracer wraps it at this binding
+from .embedded import EmbeddedSolution, SystemParams, embedded_P  # noqa: F401
 from .errors import NoRootError, NoValidPointError, TruncationError
-from .limiting import RENEWAL, LADDER, LimitingDistribution, limiting_pi
+from .limiting import RENEWAL, LimitingDistribution, limiting_pi
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,12 @@ def objective(
 
 
 def solve_instance(
-    params: SystemParams, method: str = RENEWAL, eps: float = 1e-12
+    params: SystemParams, method: str = RENEWAL
 ) -> tuple[EmbeddedSolution | None, LimitingDistribution]:
-    """Run the analytic pipeline for one instance.  Only the ladder route
-    builds the truncate-and-renormalize embedded solution, and propagates its
-    failure; the renewal route returns ``None`` in its place."""
-    emb = embedded_P(params, eps) if method == LADDER else None
-    return emb, limiting_pi(params, emb, method=method)
+    """Run the analytic pipeline for one instance: the law and, beside it,
+    the ladder's embedded solution (``None`` on the renewal route)."""
+    dist = limiting_pi(params, method)
+    return dist.embedded, dist
 
 
 def evaluate_cell(
@@ -156,29 +157,25 @@ def optimize_v(
     cost: CostParams,
     v_max: int,
     method: str = RENEWAL,
-    enforce_capability: bool = False,
 ) -> OptimizationResult:
     """Exhaustive batch-size search over v = 1..v_max.
 
     Each candidate is one :func:`evaluate_cell` call: on the renewal route a
     solve of its (w - v + 1)-state start-level chain, with no embedded
     diagnostics.  Invalid entries stay in the curve but never win; ties
-    break toward the smallest batch size.  With ``enforce_capability`` set,
-    instances whose capability factor is positive are excluded as well.
+    break toward the smallest batch size.
     """
     if not (1 <= v_max <= w):
         raise ValueError(f"v_max must lie in 1..w={w}, got {v_max}")
     curve = []
     best = None
     any_invalid = False
-    rho = capability(lam, posting.mean, w)
     for v in range(1, v_max + 1):
         bd = evaluate_cell(v, w, lam, posting, cost, method)
         curve.append((v, bd))
-        excluded = not bd.valid or (enforce_capability and rho > 0)
         if not bd.valid:
             any_invalid = True
-        if not excluded and (best is None or bd.total < best[1].total):
+        elif best is None or bd.total < best[1].total:
             best = (v, bd)
     if best is None:
         raise NoValidPointError("no valid batch size in 1..v_max")

@@ -42,6 +42,10 @@ from .errors import NoRootError, TruncationError
 # peaks near 40 bytes per entry while it is assembled and factored.
 ENTRY_BUDGET = 1 << 23
 
+# The infinite-queue head is cut where its tail mass drops below this, and a
+# truncated solve stops once its head entries change by less.
+EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -256,7 +260,7 @@ def _level_system(psis: np.ndarray, v: int, n: int, band: int):
     return (AT - sparse.diags(np.concatenate((np.ones(n - 1), [0.0])))).T.tocsr()
 
 
-def _truncated_infinite_Q(params: SystemParams, eps: float) -> np.ndarray:
+def _truncated_infinite_Q(params: SystemParams, eps: float = EPS) -> np.ndarray:
     """Stationary vector of the level-truncated infinite chain.
 
     The level-N matrix absorbs each row's tail in its last column; N is
@@ -288,47 +292,46 @@ def _truncated_infinite_Q(params: SystemParams, eps: float) -> np.ndarray:
         n *= 2
 
 
-def _geometric_Q(params: SystemParams, z0: float, eps: float) -> np.ndarray:
-    """Geometric head ``(1 - r) r^i``, ``r = 1 / z0``, until ``r^i < eps``."""
+def _geometric_Q(params: SystemParams, z0: float) -> np.ndarray:
+    """Geometric head ``(1 - r) r^i``, ``r = 1 / z0``, until ``r^i < EPS``."""
     r = 1.0 / z0
     # r is 1.0 when z0 - 1 is below rounding
-    terms = np.log(eps) / np.log(r) if r < 1.0 else np.inf
+    terms = np.log(EPS) / np.log(r) if r < 1.0 else np.inf
     if terms + 1 > ENTRY_BUDGET:
         raise TruncationError(f"geometric head of {terms + 1:.4g} terms passes the budget of {ENTRY_BUDGET}")
     n = max(params.w - params.v + 1, int(np.ceil(terms)) + 1)
     return (1.0 - r) * r ** np.arange(n)
 
 
-def infinite_queue_Q(
-    params: SystemParams, eps: float = 1e-12, method: str = "auto"
-) -> np.ndarray:
-    """Head of the infinite-capacity stationary vector ``Q``.
-
-    Exponential postings use the geometric closed form driven by the
-    characteristic root; other kinds (or ``method="solve"``) use the
-    truncated linear solve.  Requires offered load < 1; a head longer than
-    :data:`ENTRY_BUDGET` raises :class:`TruncationError`.
-    """
-    if method not in ("auto", "geometric", "solve"):
-        raise ValueError(f"unknown method {method!r}")
+def _infinite_Q(params: SystemParams) -> tuple[np.ndarray, float | None]:
+    """Head of ``Q`` and the characteristic root, ``None`` unless the
+    postings are exponential.  Exponential postings take the geometric closed
+    form driven by the root, other kinds the truncated linear solve."""
+    if params.posting.kind == EXPONENTIAL:
+        root = characteristic_root(params.v, params.lam, params.a)
+        return _geometric_Q(params, root), root
     if params.offered_load >= 1.0:
         raise NoRootError(
             f"offered load {params.offered_load:.6g} >= 1; "
             "the infinite-queue stationary vector does not exist"
         )
-    kind = params.posting.kind
-    if method == "geometric" and kind != EXPONENTIAL:
-        raise ValueError("geometric closed form applies to exponential postings only")
-    if kind == EXPONENTIAL and method != "solve":
-        return _geometric_Q(params, characteristic_root(params.v, params.lam, params.a), eps)
-    return _truncated_infinite_Q(params, eps)
+    return _truncated_infinite_Q(params), None
 
 
-def embedded_P(params: SystemParams, eps: float = 1e-12) -> EmbeddedSolution:
+def infinite_queue_Q(params: SystemParams) -> np.ndarray:
+    """Head of the infinite-capacity stationary vector ``Q``.
+
+    Exponential postings use the geometric closed form, other kinds the
+    truncated linear solve.  Requires offered load < 1 (:class:`NoRootError`
+    otherwise); a head longer than :data:`ENTRY_BUDGET` raises
+    :class:`TruncationError`.
+    """
+    return _infinite_Q(params)[0]
+
+
+def embedded_P(params: SystemParams) -> EmbeddedSolution:
     """Truncate-and-renormalize stationary vector on states 0..w-v."""
-    exponential = params.posting.kind == EXPONENTIAL
-    root = characteristic_root(params.v, params.lam, params.a) if exponential else None
-    Q = _geometric_Q(params, root, eps) if exponential else infinite_queue_Q(params, eps)
+    Q, root = _infinite_Q(params)
     head = Q[: params.w - params.v + 1]
     kappa = 1.0 / float(head.sum())
     P = np.zeros(params.w + 1)

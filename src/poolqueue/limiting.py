@@ -36,6 +36,7 @@ from .embedded import (
     EmbeddedSolution,
     ModelType,
     SystemParams,
+    embedded_P,
     kernel,
     model_type,
     start_level_P,
@@ -53,6 +54,7 @@ class LimitingDistribution:
     pi: np.ndarray  # customer-side stationary law, length w + 1
     pi1: np.ndarray  # contractor-pool stationary law, exact reversal of pi
     g_vector: np.ndarray | None  # ladder increments G_1..G_w, diagnostics
+    embedded: EmbeddedSolution | None  # the ladder's truncated embedded vector
     valid: bool
     negative_states: tuple[int, ...]
     method: str
@@ -123,11 +125,7 @@ def interval_occupancy(params: SystemParams) -> np.ndarray:
     return start_rows(gamma, gtails, np.maximum(np.arange(w + 1) - params.v, 0), w + 1)
 
 
-def limiting_pi(
-    params: SystemParams,
-    embedded: EmbeddedSolution | None = None,
-    method: str = RENEWAL,
-) -> LimitingDistribution:
+def limiting_pi(params: SystemParams, method: str = RENEWAL) -> LimitingDistribution:
     """Stationary occupancy laws for one platform instance.
 
     The renewal route solves the start-level chain of
@@ -137,24 +135,20 @@ def limiting_pi(
     tail of each start level.  This equals ``admission_P(params) @
     interval_occupancy(params)`` without building either (w+1)-square matrix.
 
-    Only the ladder route (``method="ladder"``) uses ``embedded``, the
-    :func:`~poolqueue.embedded.embedded_P` solution of the same capacity, and
-    reports ``g_vector``.  The law is ``valid`` when every entry is finite
-    and none is below ``-NEGATIVE_TOL``.
+    Only the ladder route (``method="ladder"``) solves the embedded chain,
+    by :func:`~poolqueue.embedded.embedded_P`, whose failure it propagates;
+    it reports that solution as ``embedded`` and the bands as ``g_vector``.
+    The law is ``valid`` when every entry is finite and none is below
+    ``-NEGATIVE_TOL``.
     """
     if method not in (RENEWAL, LADDER):
         raise ValueError(f"unknown method {method!r}")
     v, w = params.v, params.w
 
-    gvec = None
+    gvec = emb = None
     if method == LADDER:
-        if embedded is None:
-            raise ValueError("the ladder route requires an embedded solution")
-        if embedded.P.size != w + 1:
-            raise ValueError(
-                f"embedded solution has {embedded.P.size} states, capacity w={w} needs {w + 1}"
-            )
-        gvec = g_vector(params, embedded.P)
+        emb = embedded_P(params)
+        gvec = g_vector(params, emb.P)
         pi0 = (1.0 - gvec.sum()) / (1.0 + w)
         pi = np.empty(w + 1)
         pi[0] = pi0
@@ -173,6 +167,7 @@ def limiting_pi(
         pi=pi,
         pi1=pi[::-1].copy(),
         g_vector=gvec,
+        embedded=emb,
         valid=bool(np.isfinite(pi).all()) and not negatives,
         negative_states=negatives,
         method=method,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .cost import CostParams, ObjectiveBreakdown, state_cost_rates
 from .dist import positive_int, whole_number
-from .embedded import EmbeddedSolution, SystemParams
+from .embedded import SystemParams
 from .limiting import LimitingDistribution
 
 CLIP = "clip"
@@ -318,16 +318,15 @@ def compare(
     dist: LimitingDistribution,
     breakdown: ObjectiveBreakdown,
     sim_result: SimResult,
-    embedded: EmbeddedSolution | None = None,
     tol_tv: float = 0.01,
     tol_cost: float = 0.05,
 ) -> ComparisonReport:
     """Differential report between the analytic pipeline and one sim run.
 
-    The embedded comparison mirrors the analytic pre-posting vector onto the
-    pool side before measuring distance; it is skipped when no embedded
-    solution is given (the renewal route, or offered load >= 1).  Both
-    tolerances must be finite and > 0.
+    The embedded comparison mirrors the ladder's pre-posting vector,
+    ``dist.embedded``, onto the pool side before measuring distance; the
+    renewal route has none, and skips it.  Both tolerances must be finite
+    and > 0.
     """
     check_tolerance("tol_tv", tol_tv)
     check_tolerance("tol_cost", tol_cost)
@@ -336,8 +335,8 @@ def compare(
     tv = total_variation(pi1, sim_pool)
     max_abs = float(np.max(np.abs(pi1 - sim_pool)))
     tv_emb = None
-    if embedded is not None:
-        tv_emb = total_variation(embedded.P[::-1], sim_result.embedded_dist)
+    if dist.embedded is not None:
+        tv_emb = total_variation(dist.embedded.P[::-1], sim_result.embedded_dist)
     denom = abs(breakdown.total)
     rel = abs(breakdown.total - sim_result.avg_cost_rate) / denom if denom > 0 else 0.0
     return ComparisonReport(

@@ -1,11 +1,16 @@
 """Scalar event-loop simulator, kept as the reference oracle for ``run_sim``.
 
 This is the per-event loop ``poolqueue.sim.run_sim`` used before it was
-vectorized, unchanged: one Python iteration per arrival or posting.  The
-oracle tests hold every field of the vectorized result bit-identical to it.
+vectorized: one Python iteration per arrival or posting, in the same event
+order and with the same arithmetic.  Only its bookkeeping is cheaper: draws
+are read from each block as Python floats, and the per-state totals are
+Python lists until the run ends.  The oracle tests hold every field of the
+vectorized result bit-identical to it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -14,21 +19,13 @@ from poolqueue.embedded import SystemParams
 from poolqueue.sim import _BLOCK, CLIP, SimConfig, SimResult
 
 
-class _Stream:
-    """Sequential draws from a generator, refilled in fixed-size blocks."""
+def _stream(draw):
+    """Iterator over draws from a generator, taken in fixed-size blocks.
 
-    def __init__(self, draw):
-        self._draw = draw
-        self._buf = draw(_BLOCK)
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i >= self._buf.size:
-            self._buf = self._draw(_BLOCK)
-            self._i = 0
-        value = self._buf[self._i]
-        self._i += 1
-        return value
+    Each block comes out as a list of Python floats, the same values the
+    array holds, so stepping through it costs no numpy scalar per draw.
+    """
+    return itertools.chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None))
 
 
 def run_sim_reference(params: SystemParams, cost: CostParams, config: SimConfig) -> SimResult:
@@ -37,18 +34,19 @@ def run_sim_reference(params: SystemParams, cost: CostParams, config: SimConfig)
     arrival_seed, posting_seed = np.random.SeedSequence(config.seed).spawn(2)
     arr_rng = np.random.default_rng(arrival_seed)
     post_rng = np.random.default_rng(posting_seed)
-    arrivals = _Stream(lambda n: arr_rng.exponential(1.0 / lam, n))
-    postings = _Stream(lambda n: np.asarray(params.posting.sample(post_rng, n), dtype=float))
+    arrivals = _stream(lambda n: arr_rng.exponential(1.0 / lam, n))
+    postings = _stream(lambda n: np.asarray(params.posting.sample(post_rng, n), dtype=float))
     clip = config.policy == CLIP
 
     warmup = int(config.warmup_fraction * config.num_postings)
-    occupancy = np.zeros(w + 1)
-    embedded = np.zeros(w + 1)
+    # per-state totals stay Python lists until the end of the run
+    occupancy = [0.0] * (w + 1)
+    embedded = [0.0] * (w + 1)
     lost = 0
     z = 0
     t = 0.0
-    t_arr = arrivals.next()
-    t_post = postings.next()
+    t_arr = next(arrivals)
+    t_post = next(postings)
     collecting = False
     t_start = 0.0
     posts_done = 0
@@ -63,7 +61,7 @@ def run_sim_reference(params: SystemParams, cost: CostParams, config: SimConfig)
                 z -= 1
             elif collecting:
                 lost += 1
-            t_arr = t + arrivals.next()
+            t_arr = t + next(arrivals)
         else:
             if collecting:
                 occupancy[z] += t_post - t
@@ -79,9 +77,11 @@ def run_sim_reference(params: SystemParams, cost: CostParams, config: SimConfig)
                 z = min(z + v, w)
             elif z <= w - v:
                 z += v
-            t_post = t + postings.next()
+            t_post = t + next(postings)
 
     total_time = t - t_start
+    occupancy = np.array(occupancy)
+    embedded = np.array(embedded)
     time_avg = occupancy / occupancy.sum()
     embedded_dist = embedded / embedded.sum()
     ks = np.arange(w + 1)

@@ -37,6 +37,7 @@ from poolqueue import (
     run_sim,
     solve_instance,
 )
+from poolqueue import embedded
 from ctmc_oracle import cost_rate, pool_law
 
 
@@ -152,8 +153,8 @@ def test_criterion_4_dual_route_agreement():
                 p = SystemParams(v=v, w=max(2 * v, 6), lam=lam,
                                  posting=PostingDistribution("exponential", a))
                 head = p.w - p.v + 1
-                geo = infinite_queue_Q(p, method="geometric")[:head]
-                num = infinite_queue_Q(p, method="solve")[:head]
+                geo = infinite_queue_Q(p)[:head]  # exponential: the closed form
+                num = embedded._truncated_infinite_Q(p)[:head]
                 delta = np.max(np.abs(geo - num))
                 assert delta < 1e-8, f"v={v} rho={rho}: {delta:.2e}"
 
@@ -204,7 +205,7 @@ def test_criterion_6_structural_invariants():
             assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12, tag
             sol = embedded_P(p)
             assert np.all(sol.P[w - v + 1:] == 0.0), tag
-            dist = limiting_pi(p, sol)
+            dist = limiting_pi(p)
             assert abs(dist.pi.sum() - 1.0) < 1e-10, tag
             assert np.array_equal(dist.pi1, dist.pi[::-1]), tag
         assert len(type_seen) == 2, "grid must span both structural regimes"
@@ -219,7 +220,7 @@ def test_criterion_7_simulation_oracle():
             for w in (5, 35):
                 p = SystemParams(v=1, w=w, lam=1.0,
                                  posting=PostingDistribution("exponential", la))
-                emb, dist = solve_instance(p)
+                _, dist = solve_instance(p)
                 bd = objective(p, cost, dist)
                 cfg = SimConfig(seed=314159, num_postings=1_000_000)
                 t0 = time.perf_counter()
@@ -227,7 +228,7 @@ def test_criterion_7_simulation_oracle():
                 elapsed = time.perf_counter() - t0
                 tag = f"la={la} w={w}"
                 assert elapsed < 30.0, f"{tag}: {elapsed:.1f} s"
-                report = compare(dist, bd, r, emb)
+                report = compare(dist, bd, r)
                 assert report.tv_time_avg < 0.01, f"{tag}: TV {report.tv_time_avg:.4f}"
                 assert report.cost_rate_rel_error < 0.05, (
                     f"{tag}: cost err {report.cost_rate_rel_error:.4f}"
@@ -257,13 +258,13 @@ def test_criterion_8_differential_report():
             p = SystemParams(v=v, w=w, lam=lam,
                              posting=PostingDistribution(kind, a, shape=3))
             regimes.add(model_type(p))
-            emb, dist = solve_instance(p)
+            _, dist = solve_instance(p)
             bd = objective(p, cost, dist)
             tag = f"v={v} w={w} rho={rho} {kind}"
             for policy in (CLIP, REJECT):
                 cfg = SimConfig(seed=99, num_postings=60_000, policy=policy)
                 r = run_sim(p, cost, cfg)
-                report = compare(dist, bd, r, emb)
+                report = compare(dist, bd, r)
                 assert np.isfinite(report.tv_time_avg), tag
                 assert np.isfinite(report.cost_rate_rel_error), tag
                 assert abs(r.time_avg_dist.sum() - 1.0) < 1e-12, tag

@@ -265,6 +265,41 @@ def test_non_finite_input_is_config_error(capsys, flag, value):
     assert "finite" in err or "positive" in err
 
 
+@pytest.mark.parametrize("kind", ["exponential", "deterministic"])
+def test_shape_of_a_kind_without_one_is_config_error(capsys, tmp_path, kind):
+    # solve --dist exponential --shape 5 used to exit 0, record the shape and
+    # ignore it
+    argv = ["solve", "--v", "2", "--w", "6", "--lambda", "1.0", "--dist", kind, "--mean", "1.0"]
+    code, out, err = run(capsys, [*argv, "--shape", "5"])
+    assert code == EXIT_CONFIG and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "config" and "shape" in error["message"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"posting": {"shape": 5}}}))
+    code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == EXIT_CONFIG and out == ""
+    assert "shape" in json.loads(err)["error"]["message"]
+    # the default shape is accepted and recorded, as before
+    code, out, _ = run(capsys, [*argv, "--shape", "1"])
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["params"]["posting"]["shape"] == 1
+
+
+def test_enforce_capability_is_no_setting(capsys, tmp_path):
+    # the capability factor does not depend on v, so the flag either changed
+    # nothing or left no batch size to choose
+    argv = ["optimize", "--w", "6", "--lambda", "3", "--dist", "exponential", "--mean", "3"]
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--enforce-capability"])
+    assert exited.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"options": {"enforce_capability": True}}))
+    code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == EXIT_CONFIG and out == ""
+    assert "'enforce_capability'" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("key, value", [("w", 6.7), ("v", 2.5)])
 def test_fractional_geometry_in_config_is_config_error(capsys, tmp_path, key, value):
     # int() used to cut w = 6.7 down to 6 without a word
@@ -277,8 +312,7 @@ def test_fractional_geometry_in_config_is_config_error(capsys, tmp_path, key, va
     assert f"{key} must be a positive integer" in err
 
 
-# w=6, lambda=3, a=3: capability is 0.5, so enforce_capability read as true
-# excludes every batch size
+# w=6, lambda=3, a=3: a valid instance, with a positive capability factor
 MISREAD_PARAMS = {"w": 6, "lambda": 3, "posting": {"kind": "exponential", "mean": 3}}
 MISREAD_COST = {"ch": 1, "cr": 1, "cd": 1}
 # each case runs on a subcommand that reads its key, from a file of keys that
@@ -294,7 +328,6 @@ MISREAD_BASE = {
     ("options", "vmax", 4.7),  # used to run v = 1..4
     ("options", "vmax", "x"),  # used to escape as a ValueError traceback
     ("cost", "ch", "abc"),  # likewise
-    ("options", "enforce_capability", "false"),  # bool("false") is true
     ("params", "v", True),  # JSON true is not the integer 1
     ("options", "tol_tv", 0),  # fails every comparison
 ])
@@ -362,7 +395,7 @@ SIM_FLAGS = {"--seed", "--postings", "--warmup"}
 # the flags of the settings each subcommand reads
 READS = {
     "solve": POOL_FLAGS | OUTPUT_FLAGS | {"--v", "--method"},
-    "optimize": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | {"--method", "--vmax", "--enforce-capability"},
+    "optimize": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | {"--method", "--vmax"},
     "sweep": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | {"--vmin", "--vmax", "--wmin", "--wmax", "--method"},
     "simulate": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | SIM_FLAGS | {"--v", "--policy"},
     "compare": POOL_FLAGS | COST_FLAGS | OUTPUT_FLAGS | SIM_FLAGS | {"--v", "--method", "--tol-tv", "--tol-cost"},
@@ -377,7 +410,8 @@ SETTINGS = {
     "--lambda": (("params", "lambda"), ["0.7"], 0.7),
     "--dist": (("params", "posting", "kind"), ["erlang"], "erlang"),
     "--mean": (("params", "posting", "mean"), ["0.8"], 0.8),
-    "--shape": (("params", "posting", "shape"), ["2"], 2),
+    # only the erlang kind takes a shape other than 1
+    "--shape": (("params", "posting", "shape"), ["2", "--dist", "erlang"], 2),
     "--ch": (("cost", "ch"), ["2"], 2.0),
     "--cr": (("cost", "cr"), ["2"], 2.0),
     "--cd": (("cost", "cd"), ["2"], 2.0),
@@ -392,7 +426,6 @@ SETTINGS = {
     "--wmin": (("options", "wmin"), ["5"], 5),
     "--wmax": (("options", "wmax"), ["7"], 7),
     "--method": (("options", "method"), ["ladder"], "ladder"),
-    "--enforce-capability": (("options", "enforce_capability"), [], True),
     "--tol-tv": (("options", "tol_tv"), ["0.3"], 0.3),
     "--tol-cost": (("options", "tol_cost"), ["0.3"], 0.3),
     "--format": (("options", "format"), ["csv"], "csv"),
@@ -418,8 +451,8 @@ def test_each_subcommand_offers_its_flags():
         for name, p in subparsers().items()
     }
     assert offered == {name: flags | {"--config"} for name, flags in READS.items()}
-    assert sum(map(len, READS.values())) == 69
-    assert sum(reads(name, setting) for name in READS for setting in SETTINGS) == 77
+    assert sum(map(len, READS.values())) == 68
+    assert sum(reads(name, setting) for name in READS for setting in SETTINGS) == 76
 
 
 def test_every_offered_flag_has_help():

@@ -177,9 +177,11 @@ def test_geometric_vs_truncated_solve(v, rho):
     a = rho * v / lam
     p = exp_params(v, max(2 * v, 6), lam, a)
     head = p.w - p.v + 1
-    geo = infinite_queue_Q(p, method="geometric")[:head]
-    num = infinite_queue_Q(p, method="solve")[:head]
-    assert np.max(np.abs(geo - num)) < 1e-8
+    geo = infinite_queue_Q(p)
+    # exponential postings take the closed form
+    assert np.array_equal(geo, embedded._geometric_Q(p, characteristic_root(v, lam, a)))
+    num = embedded._truncated_infinite_Q(p)[:head]
+    assert np.max(np.abs(geo[:head] - num)) < 1e-8
 
 
 def test_truncated_solve_nonexponential_is_distribution_head():
@@ -192,8 +194,8 @@ def test_truncated_solve_nonexponential_is_distribution_head():
 def test_truncation_eps_invariance():
     p = SystemParams(v=2, w=8, lam=1.0, posting=PostingDistribution("deterministic", 1.0))
     head = p.w - p.v + 1
-    a = infinite_queue_Q(p, eps=1e-10)[:head]
-    b = infinite_queue_Q(p, eps=1e-13)[:head]
+    a = embedded._truncated_infinite_Q(p, eps=1e-10)[:head]
+    b = embedded._truncated_infinite_Q(p, eps=1e-13)[:head]
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -202,7 +204,7 @@ def test_truncation_eps_invariance():
 @pytest.mark.parametrize("load", [0.3, 0.9])
 def test_truncated_solve_matches_list_built_reference(kind, v, w, load):
     p = SystemParams(v=v, w=w, lam=load * v / 1.3, posting=PostingDistribution(kind, 1.3, shape=3))
-    assert np.array_equal(infinite_queue_Q(p, method="solve"), truncated_Q(p))
+    assert np.array_equal(embedded._truncated_infinite_Q(p), truncated_Q(p))
 
 
 def test_truncation_budget_refuses_a_level_before_building_it(monkeypatch):
@@ -247,12 +249,6 @@ def test_geometric_head_near_load_one_is_a_truncation_error():
 def test_infinite_queue_requires_stability():
     with pytest.raises(NoRootError):
         infinite_queue_Q(exp_params(2, 5, 2.2, 1.3))
-
-
-def test_geometric_method_guard():
-    p = SystemParams(v=2, w=6, lam=1.0, posting=PostingDistribution("deterministic", 1.0))
-    with pytest.raises(ValueError, match="exponential"):
-        infinite_queue_Q(p, method="geometric")
 
 
 # -- truncate-and-renormalize vector ---------------------------------------

@@ -14,7 +14,6 @@ from poolqueue import (
     admission_P,
     admission_tpm,
     bhat,
-    cost,
     embedded,
     embedded_P,
     evaluate_cell,
@@ -22,12 +21,13 @@ from poolqueue import (
     interval_occupancy,
     limiting,
     limiting_pi,
+    model_type,
     optimize_v,
     solve_instance,
     sweep,
 )
 from poolqueue.cli import main
-from poolqueue.embedded import kernel, start_level_P
+from poolqueue.embedded import ModelType, kernel, start_level_P
 
 
 def exp_params(v, w, lam, a):
@@ -96,7 +96,7 @@ def test_g_vector_narrow_capacity_bands():
 def test_ladder_route_is_assembled_from_bands():
     p = exp_params(2, 8, 1.0, 0.5)
     sol = embedded_P(p)
-    dist = limiting_pi(p, sol, method=LADDER)
+    dist = limiting_pi(p, method=LADDER)
     G = g_vector(p, sol.P)
     pi0 = (1.0 - G.sum()) / (1.0 + p.w)
     assert dist.pi[0] == pytest.approx(pi0, abs=1e-15)
@@ -104,14 +104,36 @@ def test_ladder_route_is_assembled_from_bands():
     assert dist.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["exponential", "deterministic", "erlang"])
+@pytest.mark.parametrize("v, w, regime", [(2, 8, ModelType.TYPE1), (3, 5, ModelType.TYPE2)])
+def test_ladder_law_comes_from_its_own_embedded_solve(kind, v, w, regime):
+    # the ladder route used to take the embedded solution from its caller;
+    # solving it inside gives the same vector, bands and law, bit for bit
+    p = SystemParams(v=v, w=w, lam=1.0, posting=PostingDistribution(kind, 0.5 * v, shape=3))
+    assert model_type(p) is regime
+    sol = embedded_P(p)
+    G = g_vector(p, sol.P)
+    pi0 = (1.0 - G.sum()) / (1.0 + w)
+    dist = limiting_pi(p, method=LADDER)
+    assert np.array_equal(dist.embedded.P, sol.P)
+    assert np.array_equal(dist.g_vector, G)
+    assert np.array_equal(dist.pi, np.concatenate(([pi0], G + pi0)))
+    assert np.array_equal(dist.pi1, dist.pi[::-1])
+
+
 def test_ladder_requires_embedded():
-    with pytest.raises(ValueError, match="embedded"):
-        limiting_pi(exp_params(1, 5, 1.0, 0.5), None, method=LADDER)
+    # the ladder route solves the embedded chain of its own instance, and
+    # only it does
+    p = exp_params(2, 5, 1.0, 0.5)
+    ladder = limiting_pi(p, method=LADDER)
+    assert ladder.valid
+    assert ladder.embedded.P.size == p.w + 1
+    assert limiting_pi(p).embedded is None
 
 
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
-        limiting_pi(exp_params(1, 5, 1.0, 0.5), None, method="magic")
+        limiting_pi(exp_params(1, 5, 1.0, 0.5), method="magic")
 
 
 # -- interval-occupancy kernel ---------------------------------------------
@@ -193,14 +215,6 @@ def test_renewal_always_a_distribution(v, extra, la, kind):
     assert abs(dist.pi.sum() - 1.0) < 1e-9
     assert np.all(dist.pi >= -1e-9)
     assert dist.valid
-
-
-def test_ladder_rejects_an_embedded_solution_of_another_capacity():
-    # a w=10 vector used to give a normalized law for w=5, marked valid
-    p5, p10 = exp_params(2, 5, 1.0, 0.5), exp_params(2, 10, 1.0, 0.5)
-    with pytest.raises(ValueError, match="capacity w=5"):
-        limiting_pi(p5, embedded_P(p10), method=LADDER)
-    assert limiting_pi(p5, embedded_P(p5), method=LADDER).valid
 
 
 def test_solve_instance_heavy_load_renewal_only():
@@ -327,7 +341,7 @@ def counting(monkeypatch, module, name):
 
 
 def test_renewal_cost_path_skips_embedded_diagnostics(monkeypatch):
-    emb_calls = counting(monkeypatch, cost, "embedded_P")
+    emb_calls = counting(monkeypatch, limiting, "embedded_P")
     g_calls = counting(monkeypatch, limiting, "g_vector")
     posting = PostingDistribution("erlang", 1.3, shape=3)
     costs = CostParams(3.0, 1.0, 80.0)
@@ -347,9 +361,9 @@ def test_renewal_cost_path_skips_embedded_diagnostics(monkeypatch):
 
 
 def test_cli_solve_runs_one_embedded_solve_only_for_ladder(monkeypatch):
-    # counted at both bindings: solve_instance looks it up in cost, code in
+    # counted at both bindings: limiting_pi looks it up in limiting, code in
     # embedded (as tpm_stationary_delta did) in embedded
-    calls = [counting(monkeypatch, module, "embedded_P") for module in (cost, embedded)]
+    calls = [counting(monkeypatch, module, "embedded_P") for module in (limiting, embedded)]
     argv = ["solve", "--v", "2", "--w", "6", "--lambda", "1.0", "--dist", "erlang",
             "--shape", "3", "--mean", "1.3"]
     assert main(argv) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from poolqueue import (
     CLIP,
+    LADDER,
     REJECT,
     CostParams,
     PostingDistribution,
@@ -169,11 +170,22 @@ def test_compare_analytic_vs_sim_clip():
     _, dist = solve_instance(p)
     bd = objective(p, COST, dist)
     r = run_sim(p, COST, SimConfig(seed=21, num_postings=300_000))
-    report = compare(dist, bd, r, embedded_P(p))
+    report = compare(dist, bd, r)
     assert report.tv_time_avg < 0.01
-    assert report.tv_embedded is not None
     assert report.cost_rate_rel_error < 0.05
     assert report.passed
+
+
+def test_compare_measures_the_ladder_embedded_distance():
+    # the embedded distance comes from the ladder law's own embedded solution
+    p = exp_params(2, 6, 1.0, 1.0)
+    emb, dist = solve_instance(p, method=LADDER)
+    assert dist.embedded is emb
+    bd = objective(p, COST, dist)
+    r = run_sim(p, COST, SimConfig(seed=21, num_postings=300_000))
+    report = compare(dist, bd, r)
+    assert report.tv_embedded is not None
+    assert report.tv_embedded == total_variation(embedded_P(p).P[::-1], r.embedded_dist)
 
 
 def test_compare_without_embedded_skips_that_distance():
@@ -182,7 +194,7 @@ def test_compare_without_embedded_skips_that_distance():
     assert emb is None
     bd = objective(p, COST, dist)
     r = run_sim(p, COST, SimConfig(seed=22, num_postings=200_000))
-    report = compare(dist, bd, r, emb)
+    report = compare(dist, bd, r)
     assert report.tv_embedded is None
     assert report.passed
 
@@ -191,10 +203,10 @@ def test_compare_flags_reject_policy_gap():
     # the analytic law models clipped admission; a rejecting run of the same
     # moderately loaded instance must be visibly different
     p = exp_params(3, 5, 2.0, 1.2)
-    emb, dist = solve_instance(p)
+    _, dist = solve_instance(p)
     bd = objective(p, COST, dist)
     r = run_sim(p, COST, SimConfig(seed=23, num_postings=200_000, policy=REJECT))
-    report = compare(dist, bd, r, emb)
+    report = compare(dist, bd, r)
     assert report.tv_time_avg > 0.02
     assert not report.passed
 
