@@ -23,7 +23,7 @@ law and the limiting distribution are both built from it.
 Only the truncate-and-renormalize route uses scipy: ``scipy.optimize`` for
 :func:`characteristic_root` and ``scipy.sparse`` for the truncated solve.
 Both are imported the first time that route runs, so the default route loads
-no scipy module for exponential postings.
+no scipy module, whatever the posting family.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ def start_rows(body: np.ndarray, tails: np.ndarray, starts, width: int) -> np.nd
 
 def kernel(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values ``psi_0..psi_w`` and tails ``P{N >= n}`` for n = 0..w."""
-    psis, _ = params.posting.psi_row(params.lam, params.w)
-    return psis, params.posting.psi_tails(params.lam, params.w)
+    return params.posting.psi_and_tails(params.lam, params.w)
 
 
 def build_tpm(params: SystemParams) -> np.ndarray:
@@ -141,8 +140,7 @@ def build_tpm(params: SystemParams) -> np.ndarray:
     """
     v, w = params.v, params.w
     s = w - v
-    psis, _ = params.posting.psi_row(params.lam, s)
-    tails = params.posting.psi_tails(params.lam, s)
+    psis, tails = params.posting.psi_and_tails(params.lam, s)
     top = max(v, s) + 1  # rows 0..v and 0..s carry kernel rows
     M = np.zeros((w + 1, w + 1))
     M[:top, : s + 1] = start_rows(psis, tails, np.maximum(np.arange(top) - v, 0), s + 1)

@@ -573,19 +573,24 @@ def scipy_probe(*argvs):
     return json.loads(done.stdout)
 
 
-EXP_INSTANCE = ["--w", "12", "--lambda", "2.2", "--dist", "exponential", "--mean", "1.3"]
-EXP_V3 = ["--v", "3", *EXP_INSTANCE]
+FAMILIES = {
+    "exponential": ["--dist", "exponential"],
+    "deterministic": ["--dist", "deterministic"],
+    "erlang": ["--dist", "erlang", "--shape", "3"],
+}
 
 
-def test_exponential_runs_load_no_scipy():
-    # the exponential kernel and the renewal route need numpy alone; scipy
-    # would triple the start-up time of every such process
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_route_loads_no_scipy(family):
+    # every kernel and the renewal route need numpy alone; scipy would
+    # double the start-up time of every such process
+    instance = ["--w", "12", "--lambda", "2.2", *FAMILIES[family], "--mean", "1.3"]
     steps = scipy_probe(
-        ["solve", *EXP_V3],
-        ["optimize", *EXP_INSTANCE, "--ch", "3", "--cr", "1", "--cd", "80"],
-        ["sweep", *EXP_INSTANCE, "--cd", "5", "--vmax", "4", "--wmin", "10"],
-        ["simulate", *EXP_V3, "--seed", "3", "--postings", "2000"],
-        ["compare", *EXP_V3, "--cd", "4", "--seed", "3", "--postings", "2000", "--tol-tv", "0.2"],
+        ["solve", "--v", "3", *instance],
+        ["optimize", *instance, "--ch", "3", "--cr", "1", "--cd", "80"],
+        ["sweep", *instance, "--cd", "5", "--vmax", "4", "--wmin", "10"],
+        ["simulate", "--v", "3", *instance, "--seed", "3", "--postings", "2000"],
+        ["compare", "--v", "3", *instance, "--cd", "4", "--seed", "3", "--postings", "2000", "--tol-tv", "0.2"],
     )
     assert [step[0] for step in steps] == [
         "import poolqueue", "import poolqueue.cli", "solve", "optimize", "sweep", "simulate", "compare"
@@ -593,18 +598,13 @@ def test_exponential_runs_load_no_scipy():
     assert all(code == EXIT_OK and modules == [] for _, code, modules in steps)
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["solve", "--v", "3", "--w", "12", "--lambda", "2.2", "--dist", "deterministic", "--mean", "1.3"],
-     "scipy.special"),
-    (["optimize", "--w", "12", "--lambda", "2.2", "--dist", "erlang", "--shape", "3", "--mean", "1.3",
-      "--cd", "80"], "scipy.special"),
-    (["solve", *EXP_V3, "--method", "ladder"], "scipy.optimize"),
-])
-def test_scipy_kernels_and_ladder_load_scipy_on_first_use(argv, module):
+def test_ladder_loads_scipy_on_first_use():
+    argv = ["solve", "--v", "3", "--w", "12", "--lambda", "2.2", "--dist", "exponential", "--mean", "1.3",
+            "--method", "ladder"]
     *imports, (_, code, modules) = scipy_probe(argv)
     assert [step[2] for step in imports] == [[], []]
     assert code == EXIT_OK
-    assert module in modules
+    assert "scipy.optimize" in modules
 
 
 def test_python_m_poolqueue_runs_the_cli(capsys):

@@ -1,6 +1,8 @@
 """Posting-distribution functionals: closed forms vs independent oracles."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +129,78 @@ def test_psi_matches_extended_precision(kind, shape, la):
         ref = np.array([float(r) for r in ref])
     kept = ref >= 1e-100
     assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-12 * ref[kept])
+
+
+def _reference_kernel(mpmath, kind, shape, la, kmax):
+    """psi_0..psi_kmax and P{N >= k} for k = 0..kmax+1 in 50 digits, the
+    terms run by the ratio recurrence far enough past kmax that the rest is
+    nil."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(la)
+        if kind == "deterministic":
+            terms = [mpmath.exp(-x)]
+            ratio = lambda k: x / (k + 1)
+        else:
+            q = x / (shape + x)
+            terms = [(1 - q) ** shape]
+            ratio = lambda k: q * (k + shape) / (k + 1)
+        for k in range(kmax + 3000):
+            terms.append(terms[-1] * ratio(k))
+        tails, acc = [], mpmath.mpf(0)
+        for term in reversed(terms):
+            acc += term
+            tails.append(acc)
+        psi = np.array([float(t) for t in terms[: kmax + 1]])
+        return psi, np.array([float(t) for t in tails[::-1][: kmax + 2]])
+
+
+@pytest.mark.parametrize("kind, shape, la", [
+    *[("erlang", m, la) for m in (200, 1000) for la in (300.0, 900.0, 333.3)],
+    *[("deterministic", 1, la) for la in (1e-9, 2.86, 700.0, 1e4)],
+])
+def test_kernel_and_tails_match_extended_precision(kind, shape, la):
+    # the ratio recurrence adds only rounding per step; at la = 333.3 the sum
+    # m + la is inexact, and its rounding would bias every ratio alike
+    mpmath = pytest.importorskip("mpmath")
+    d = PostingDistribution(kind, 1.0, shape=shape)
+    kmax = max(3000, int(1.5 * la))
+    psi, tails = _reference_kernel(mpmath, kind, shape, la, kmax)
+    row, tail = d.psi_row(la, kmax)
+    upper = np.concatenate((d.psi_tails(la, kmax), [tail]))
+    for got, ref in ((row, psi), (d.psi(la, np.arange(kmax + 1)), psi), (upper, tails)):
+        kept = ref >= 1e-100
+        assert np.max(np.abs(got[kept] - ref[kept]) / ref[kept]) <= 1e-13
+
+
+def test_psi_at_a_huge_k_allocates_nothing_of_its_length():
+    tracemalloc.start()
+    try:
+        values = [d.psi(2.2, 10**9) for d in DISTS]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [0.0] * len(DISTS)
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("kind, shape", [("deterministic", 1), ("erlang", 1), ("erlang", 3), ("erlang", 1000)])
+@pytest.mark.parametrize("la", [1e-300, 1e-9, 1e8])
+@pytest.mark.parametrize("kmax", [35, 3000])
+def test_edge_kernels_stay_finite_and_cheap(kind, shape, la, kmax):
+    d = PostingDistribution(kind, 1.0, shape=shape)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, tail = d.psi_row(la, kmax)
+            tails = d.psi_tails(la, kmax)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.min() >= 0.0 and 0.0 <= tail <= 1.0
+    assert abs(row.sum() + tail - 1.0) <= 1e-12
+    assert tails[0] == 1.0 and np.all(np.diff(tails) <= 0.0) and tails[-1] >= 0.0
+    assert peak < 1e6
 
 
 def test_erlang_psi_where_the_binomial_overflows():

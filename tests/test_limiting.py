@@ -18,6 +18,7 @@ from poolqueue import (
     embedded_P,
     evaluate_cell,
     g_vector,
+    infinite_queue_Q,
     interval_occupancy,
     limiting,
     limiting_pi,
@@ -305,6 +306,30 @@ def test_erlang_of_shape_one_is_exponential():
         for kind in ("exponential", "erlang")
     )
     assert np.max(np.abs(limiting_pi(erlang).pi1 - limiting_pi(exponential).pi1)) < 1e-15
+
+
+@pytest.mark.parametrize("posting", FAMILIES[1:], ids=lambda posting: posting.kind)
+@pytest.mark.parametrize("lam, w", [(0.5, 10), (0.7, 35), (0.2, 5)])
+def test_unit_batch_start_levels_are_the_censored_infinite_queue(posting, lam, w):
+    # at v=1 the start-level chain only moves down one level at a time, so
+    # clipping at w censors the infinite chain to 0..w-1: its start-level law
+    # is the infinite law's image (Q0 + Q1, Q2, ..., Qw), renormalized
+    p = SystemParams(v=1, w=w, lam=lam, posting=posting)
+    q, _ = start_level_P(p, *kernel(p))
+    Q = infinite_queue_Q(p)
+    image = np.concatenate(([Q[0] + Q[1]], Q[2 : w + 1]))
+    assert np.max(np.abs(q - image / image.sum())) < 1e-13
+
+
+def test_erlang_tends_to_deterministic_as_shape_grows():
+    # Erlang(m) intervals have variance a^2 / m, so the law's gap to
+    # deterministic postings shrinks like 1 / m
+    pi1 = lambda posting: limiting_pi(SystemParams(v=3, w=35, lam=2.2, posting=posting)).pi1
+    deterministic = pi1(PostingDistribution("deterministic", 1.3))
+    gaps = [np.max(np.abs(pi1(PostingDistribution("erlang", 1.3, shape=m)) - deterministic))
+            for m in (10, 100, 1000)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert all(m * gap <= 0.2 for m, gap in zip((10, 100, 1000), gaps))
 
 
 def test_tiny_load_gives_a_full_pool():
