@@ -17,8 +17,9 @@ Two stationary vectors are computed here:
 Under clipped admission every row of the pre-posting chain depends on its
 state j only through the start level ``d = (j - v)^+`` of the next interval,
 so ``d`` is itself a Markov chain on 0..w-v (an exact lumping of states
-0..v).  :func:`start_level_P` solves that smaller chain; the full pre-posting
-law and the limiting distribution are both built from it.
+0..v).  :func:`start_level_P` builds that smaller chain at its own size,
+w-v+1 states, and solves it; the full pre-posting law and the limiting
+distribution are both built from its law.
 
 Only the truncate-and-renormalize route uses scipy: ``scipy.optimize`` for
 :func:`characteristic_root` and ``scipy.sparse`` for the truncated solve.
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dist import EXPONENTIAL, PostingDistribution, positive_int, scipy_module
 from .errors import NoRootError, TruncationError
@@ -111,16 +111,33 @@ def start_rows(body: np.ndarray, tails: np.ndarray, starts, width: int) -> np.nd
 
     Row i holds ``body[0 .. width-2-d]`` in columns ``d .. width-2`` and
     ``tails[width-1-d]`` in the absorbing last column, where ``tails[n]`` is
-    the mass of ``body`` beyond its first n entries.  Every pre-posting and
-    interval-occupancy matrix here is made of such rows.
+    the mass of ``body`` beyond its first n entries.  A row that starts below
+    0 lumps its levels up to 0 into column 0: with ``lo = min(starts) < 0``,
+    column 0 of every row sums the ``1 - lo`` zero-padded entries of levels
+    lo..0, so every row adds the same count of terms in the same order.
+    Every pre-posting and interval-occupancy matrix here is made of such rows.
+    Consecutive ``starts`` given as a ``range`` read their rows as one
+    strided view of the zero-padded body; other starts gather them.
     """
     n = width - 1
-    starts = np.asarray(starts, dtype=np.intp)
-    # window n - d of [0]*n + body[:n] is d zeros followed by body[: n - d]
-    padded = np.concatenate((np.zeros(n), body[:n]))
-    rows = np.empty((starts.size, width))
-    rows[:, :n] = sliding_window_view(padded, n)[n - starts]
-    rows[:, n] = tails[n - starts]
+    d = np.asarray(starts, dtype=np.intp)
+    lo = min(int(d.min()), 0)
+    # window k of [0]*n + body is its n - lo entries from k on, a strided
+    # view; window n + lo - d holds columns lo..n-1 of the row starting at
+    # d: d - lo zeros, then body
+    padded = np.concatenate((np.zeros(n), body[: n - lo]))
+    step = padded.itemsize
+    if isinstance(starts, range) and starts.step == 1:
+        # consecutive starts take consecutive windows, counting down
+        first = (n + lo - d[0]) * step
+        windows = np.ndarray((d.size, n - lo), padded.dtype, padded, first, (-step, step))
+    else:
+        windows = np.ndarray((n + 1, n - lo), padded.dtype, padded, 0, (step, step))[n + lo - d]
+    rows = np.empty((d.size, width))
+    rows[:, :n] = windows[:, -lo:]
+    if lo < 0:
+        rows[:, 0] = windows[:, : 1 - lo].sum(axis=1)
+    rows[:, n] = tails[n - d]
     return rows
 
 
@@ -162,38 +179,48 @@ def admission_tpm(params: SystemParams) -> np.ndarray:
 
 
 def stationary_vector(M: np.ndarray) -> np.ndarray:
-    """Left fixed point of a stochastic matrix, normalized to sum 1."""
+    """Left fixed point of a stochastic matrix, normalized to sum 1.
+
+    Solves ``A^T x = e_n``, where ``A`` is ``M - I`` with its last column set
+    to ones: the normalization replaces the last balance equation.  ``A^T``
+    is an F-contiguous view, so LAPACK receives ``M^T - I`` with a last row
+    of ones from one plain copy of ``M``; no identity or transposed
+    difference is built.
+    """
     n = M.shape[0]
-    A = M.T - np.eye(n)
-    A[-1, :] = 1.0
+    A = M.copy()
+    A.flat[:: n + 1] -= 1.0
+    A[:, -1] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    return np.linalg.solve(A, b)
+    return np.linalg.solve(A.T, b)
 
 
-def start_level_P(
-    params: SystemParams, psis: np.ndarray, tails: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary law of the start level ``d = (j - v)^+`` on 0..w-v.
+def start_level_P(params: SystemParams, psis: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Stationary law ``q`` of the start level ``d = (j - v)^+`` on 0..w-v.
 
     Pre-posting states 0..v share one transition row, so ``d`` is a Markov
     chain: from d the next pre-posting state is ``min(d + N, w)`` and the
-    next start level ``(min(d + N, w) - v)^+``.  Its matrix is the rows
-    ``R[d]`` of :func:`admission_tpm` with columns 0..v folded into column 0.
-    Returns the law ``q`` and the rows ``R`` (the full pre-posting law is
-    ``q @ R``); ``psis`` and ``tails`` come from :func:`kernel`.
+    next start level ``(min(d + N, w) - v)^+``.  In start-level columns the
+    row of d starts at d - v, so :func:`start_rows` builds the
+    (w-v+1)-square matrix directly, lumping pre-posting states 0..v into
+    column 0.  At v = w the one start level, 0, is never left.  ``psis`` and
+    ``tails`` come from :func:`kernel`.
     """
-    v, w = params.v, params.w
-    R = start_rows(psis, tails, np.arange(w - v + 1), w + 1)
-    K = R[:, v:].copy()
-    K[:, 0] = R[:, : v + 1].sum(axis=1)
-    return stationary_vector(K), R
+    n = params.w - params.v + 1
+    K = start_rows(psis, tails, range(-params.v, n - params.v), n) if n > 1 else np.ones((1, 1))
+    return stationary_vector(K)
 
 
 def admission_P(params: SystemParams) -> np.ndarray:
-    """Stationary pre-posting law of the clipped-admission chain."""
-    q, R = start_level_P(params, *kernel(params))
-    return q @ R
+    """Stationary pre-posting law of the clipped-admission chain.
+
+    The start-level law ``q`` spread over the rows ``R[d]`` of
+    :func:`admission_tpm` that start at d = 0..w-v: the law is ``q @ R``.
+    """
+    psis, tails = kernel(params)
+    rows = start_rows(psis, tails, range(params.w - params.v + 1), params.w + 1)
+    return start_level_P(params, psis, tails) @ rows
 
 
 # -- infinite-queue solution ----------------------------------------------

@@ -155,7 +155,7 @@ def limiting_pi(params: SystemParams, method: str = RENEWAL) -> LimitingDistribu
         pi[1:] = gvec + pi0
     else:
         psis, tails = kernel(params)
-        q, _ = start_level_P(params, psis, tails)
+        q = start_level_P(params, psis, tails)
         gamma, gtails = _occupancy_row(params, tails)
         pi = np.empty(w + 1)
         pi[:w] = np.convolve(q, gamma)[:w]

@@ -367,6 +367,20 @@ def test_stationary_vector_two_state():
     assert pi == pytest.approx([4 / 7, 3 / 7])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_stationary_vector_matches_the_transposed_difference(seed):
+    # the same matrix reaches LAPACK as from M^T - I with its last row set
+    # to ones, so the law is bit for bit the same
+    rng = np.random.default_rng(seed)
+    for n in range(1, 81):
+        M = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        M[:, 0] += 1e-3
+        M /= M.sum(axis=1, keepdims=True)
+        A = M.T - np.eye(n)
+        A[-1, :] = 1.0
+        assert np.array_equal(stationary_vector(M), np.linalg.solve(A, np.eye(n)[-1]))
+
+
 def test_admission_P_is_distribution_any_load():
     # works above offered load 1, where the infinite-queue head does not exist
     p = exp_params(2, 5, 2.2, 1.3)

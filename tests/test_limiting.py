@@ -1,5 +1,7 @@
 """Continuous-time stationary laws: renewal route, ladder bands, mirror."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,7 +270,7 @@ def test_renewal_matches_full_chain_edges(v, w):
 def test_admission_P_lumps_onto_start_levels():
     # the full pre-posting law is the start-level law spread back over 0..w
     p = SystemParams(v=3, w=12, lam=2.2, posting=PostingDistribution("deterministic", 1.3))
-    q, R = start_level_P(p, *kernel(p))
+    q = start_level_P(p, *kernel(p))
     pre = admission_P(p)
     assert q[0] == pytest.approx(pre[: p.v + 1].sum(), abs=1e-15)
     assert np.allclose(q[1:], pre[p.v + 1 :], rtol=0, atol=1e-15)
@@ -282,6 +284,40 @@ FAMILIES = (
     PostingDistribution("deterministic", 1.3),
     PostingDistribution("erlang", 1.3, shape=3),
 )
+
+
+@pytest.mark.parametrize("posting", FAMILIES, ids=lambda posting: posting.kind)
+@pytest.mark.parametrize("lam", [0.3, 2.2, 9.0])
+@pytest.mark.parametrize("w", [1, 2, 5, 35, 120])
+def test_start_level_chain_is_the_folded_admission_chain(posting, lam, w):
+    # the chain built at w-v+1 states gives, bit for bit, the law of the
+    # admission rows that start at 0..w-v with columns 0..v summed into
+    # column 0, solved from the transposed difference M^T - I
+    for v in range(1, w + 1):
+        p = SystemParams(v=v, w=w, lam=lam, posting=posting)
+        R = admission_tpm(p)[v:]
+        K = R[:, v:].copy()
+        K[:, 0] = R[:, : v + 1].sum(axis=1)
+        A = K.T - np.eye(K.shape[0])
+        A[-1, :] = 1.0
+        q = np.linalg.solve(A, np.eye(K.shape[0])[-1])
+        assert np.array_equal(start_level_P(p, *kernel(p)), q)
+
+
+@pytest.mark.parametrize("posting", FAMILIES[::2], ids=lambda posting: posting.kind)
+def test_renewal_peak_memory_is_two_chain_matrices(posting):
+    # no (w+1)-square pre-posting block or identity is built: the chain and
+    # the copy handed to the solve are each (w-v+1)-square
+    w = 1000
+    p = SystemParams(v=1, w=w, lam=2.2, posting=posting)
+    limiting_pi(p)
+    tracemalloc.start()
+    try:
+        limiting_pi(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (w + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("posting", FAMILIES, ids=lambda posting: posting.kind)
@@ -315,7 +351,7 @@ def test_unit_batch_start_levels_are_the_censored_infinite_queue(posting, lam, w
     # clipping at w censors the infinite chain to 0..w-1: its start-level law
     # is the infinite law's image (Q0 + Q1, Q2, ..., Qw), renormalized
     p = SystemParams(v=1, w=w, lam=lam, posting=posting)
-    q, _ = start_level_P(p, *kernel(p))
+    q = start_level_P(p, *kernel(p))
     Q = infinite_queue_Q(p)
     image = np.concatenate(([Q[0] + Q[1]], Q[2 : w + 1]))
     assert np.max(np.abs(q - image / image.sum())) < 1e-13
