@@ -106,38 +106,33 @@ class EmbeddedSolution:
 # -- transition matrices ---------------------------------------------------
 
 
-def start_rows(body: np.ndarray, tails: np.ndarray, starts, width: int) -> np.ndarray:
-    """Rows of ``width`` columns, row i starting at level ``d = starts[i]``.
+def start_rows(body: np.ndarray, tails: np.ndarray, first: int, count: int, width: int) -> np.ndarray:
+    """``count`` rows of ``width`` columns, row i starting at level ``first + i``.
 
     Row i holds ``body[0 .. width-2-d]`` in columns ``d .. width-2`` and
-    ``tails[width-1-d]`` in the absorbing last column, where ``tails[n]`` is
-    the mass of ``body`` beyond its first n entries.  A row that starts below
-    0 lumps its levels up to 0 into column 0: with ``lo = min(starts) < 0``,
-    column 0 of every row sums the ``1 - lo`` zero-padded entries of levels
-    lo..0, so every row adds the same count of terms in the same order.
-    Every pre-posting and interval-occupancy matrix here is made of such rows.
-    Consecutive ``starts`` given as a ``range`` read their rows as one
-    strided view of the zero-padded body; other starts gather them.
+    ``tails[width-1-d]`` in the absorbing last column, where ``d = first + i``
+    and ``tails[n]`` is the mass of ``body`` beyond its first n entries.  With
+    ``first < 0`` the rows that start below 0 lump their levels up to 0 into
+    column 0: column 0 of every row sums the ``1 - first`` zero-padded
+    entries of levels first..0, so every row adds the same count of terms in
+    the same order.  The rows are read as one strided view of the zero-padded
+    body.  Every pre-posting and interval-occupancy matrix here is made of
+    such rows; a matrix whose rows repeat a start level indexes them.
     """
     n = width - 1
-    d = np.asarray(starts, dtype=np.intp)
-    lo = min(int(d.min()), 0)
-    # window k of [0]*n + body is its n - lo entries from k on, a strided
-    # view; window n + lo - d holds columns lo..n-1 of the row starting at
-    # d: d - lo zeros, then body
+    lo = min(first, 0)
+    # window k of [0]*n + body is its n - lo entries from k on; window
+    # n + lo - d holds columns lo..n-1 of the row starting at d: d - lo
+    # zeros, then body.  Consecutive starts take consecutive windows,
+    # counting down.
     padded = np.concatenate((np.zeros(n), body[: n - lo]))
     step = padded.itemsize
-    if isinstance(starts, range) and starts.step == 1:
-        # consecutive starts take consecutive windows, counting down
-        first = (n + lo - d[0]) * step
-        windows = np.ndarray((d.size, n - lo), padded.dtype, padded, first, (-step, step))
-    else:
-        windows = np.ndarray((n + 1, n - lo), padded.dtype, padded, 0, (step, step))[n + lo - d]
-    rows = np.empty((d.size, width))
+    windows = np.ndarray((count, n - lo), padded.dtype, padded, (n + lo - first) * step, (-step, step))
+    rows = np.empty((count, width))
     rows[:, :n] = windows[:, -lo:]
     if lo < 0:
         rows[:, 0] = windows[:, : 1 - lo].sum(axis=1)
-    rows[:, n] = tails[n - d]
+    rows[:, n] = tails[n - first - np.arange(count)]
     return rows
 
 
@@ -160,7 +155,8 @@ def build_tpm(params: SystemParams) -> np.ndarray:
     psis, tails = params.posting.psi_and_tails(params.lam, s)
     top = max(v, s) + 1  # rows 0..v and 0..s carry kernel rows
     M = np.zeros((w + 1, w + 1))
-    M[:top, : s + 1] = start_rows(psis, tails, np.maximum(np.arange(top) - v, 0), s + 1)
+    rows = start_rows(psis, tails, 0, top - v, s + 1)
+    M[:top, : s + 1] = rows[np.maximum(np.arange(top) - v, 0)]
     loops = np.arange(top, w + 1)
     M[loops, loops] = 1.0
     return M
@@ -173,9 +169,9 @@ def admission_tpm(params: SystemParams) -> np.ndarray:
     then fill up to capacity, so the next state is ``min((j-v)^+ + k, w)``
     with k kernel-distributed; column ``w`` absorbs the tail.
     """
+    v, w = params.v, params.w
     psis, tails = kernel(params)
-    starts = np.maximum(np.arange(params.w + 1) - params.v, 0)
-    return start_rows(psis, tails, starts, params.w + 1)
+    return start_rows(psis, tails, 0, w - v + 1, w + 1)[np.maximum(np.arange(w + 1) - v, 0)]
 
 
 def stationary_vector(M: np.ndarray) -> np.ndarray:
@@ -208,7 +204,7 @@ def start_level_P(params: SystemParams, psis: np.ndarray, tails: np.ndarray) -> 
     ``tails`` come from :func:`kernel`.
     """
     n = params.w - params.v + 1
-    K = start_rows(psis, tails, range(-params.v, n - params.v), n) if n > 1 else np.ones((1, 1))
+    K = start_rows(psis, tails, -params.v, n, n) if n > 1 else np.ones((1, 1))
     return stationary_vector(K)
 
 
@@ -219,7 +215,7 @@ def admission_P(params: SystemParams) -> np.ndarray:
     :func:`admission_tpm` that start at d = 0..w-v: the law is ``q @ R``.
     """
     psis, tails = kernel(params)
-    rows = start_rows(psis, tails, range(params.w - params.v + 1), params.w + 1)
+    rows = start_rows(psis, tails, 0, params.w - params.v + 1, params.w + 1)
     return start_level_P(params, psis, tails) @ rows
 
 

@@ -120,9 +120,9 @@ def interval_occupancy(params: SystemParams) -> np.ndarray:
     Rows are stochastic, which makes the resulting ``pi`` sum to one by
     construction.
     """
-    w = params.w
+    v, w = params.v, params.w
     gamma, gtails = _occupancy_row(params, params.posting.psi_tails(params.lam, w))
-    return start_rows(gamma, gtails, np.maximum(np.arange(w + 1) - params.v, 0), w + 1)
+    return start_rows(gamma, gtails, 0, w - v + 1, w + 1)[np.maximum(np.arange(w + 1) - v, 0)]
 
 
 def limiting_pi(params: SystemParams, method: str = RENEWAL) -> LimitingDistribution:
